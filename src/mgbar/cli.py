@@ -8,49 +8,40 @@ decimal rendering alongside the exact value.
 
 Flags may be spelled either ``--g 22`` or ``g=22``; the second form is
 rewritten to the first before parsing.
+
+Each subcommand is one row of :data:`COMMANDS`; the parser, the
+dispatch and the JSON record are all generated from that table.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
-from . import bn, divclass, koszul, psi, tautring
+from . import __version__, bn, divclass, koszul, psi, tautring
 
-__all__ = ["CommandResult", "run", "main"]
-
-VERSION = "0.1.0"
+__all__ = ["COMMANDS", "Command", "CommandResult", "run", "main"]
 
 
+@dataclasses.dataclass
 class CommandResult:
     """What a subcommand produced, in JSON-safe form."""
 
-    def __init__(self, command, inputs, value, provenance, human):
-        self.command = command
-        self.inputs = inputs
-        self.value = value
-        self.provenance = list(provenance)
-        self.human = human
-        self.json_mode = False
+    command: str
+    inputs: dict
+    value: object
+    provenance: list
+    human: str
+    json_mode: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "value": self.value,
-            "provenance": self.provenance,
-        }
-
-
-def _rational(value) -> str | int:
-    """JSON form: integers stay integers, other rationals become p/q."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return int(f)
-    return str(f)
+        keys = ("command", "inputs", "value", "provenance")
+        return {key: getattr(self, key) for key in keys}
 
 
 def _decimal(value: Fraction, tolerance: Fraction) -> str:
@@ -66,13 +57,38 @@ def _decimal(value: Fraction, tolerance: Fraction) -> str:
     return f"{sign}{head}.{str(tail).zfill(digits)}"
 
 
-def _scalar_human(value, args) -> str:
+def _encode(value, tolerance: Fraction | None = None) -> tuple:
+    """A raw result as ``(JSON value, human text)``, by its type.
+
+    Integers stay integers and other rationals become ``p/q`` strings;
+    ``tolerance`` only appends a decimal to the human text of a
+    non-integer rational, never to the JSON value.  Records (dicts and
+    dataclasses) render as ``k=v ...`` without decimals.
+    """
     if value is divclass.INFINITE:
-        return "infinite"
-    text = str(Fraction(value))
-    if args.tolerance is not None and Fraction(value).denominator != 1:
-        text += f" ({_decimal(Fraction(value), args.tolerance)})"
-    return text
+        return "infinite", "infinite"
+    if value is bn.INFEASIBLE:
+        return "INFEASIBLE", "INFEASIBLE"
+    if isinstance(value, bool):
+        return value, "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        exact = Fraction(value)
+        if exact.denominator == 1:
+            return int(exact), str(exact)
+        if tolerance is None:
+            return str(exact), str(exact)
+        return str(exact), f"{exact} ({_decimal(exact, tolerance)})"
+    if isinstance(value, divclass.DivisorClass):
+        return value.to_json_dict(), str(value)
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        fields = {key: _encode(item) for key, item in value.items()}
+        return (
+            {key: encoded for key, (encoded, _) in fields.items()},
+            " ".join(f"{key}={text}" for key, (_, text) in fields.items()),
+        )
+    return value, str(value)
 
 
 def _table_id() -> str:
@@ -84,342 +100,83 @@ def _table_id() -> str:
 # ---------------------------------------------------------------------
 
 
-def _class_from_args(args) -> divclass.DivisorClass:
-    sel = args.klass
-    if sel == "canonical":
-        return divclass.canonical_coarse(_require(args, "g"))
-    if sel == "canonical-stack":
-        return divclass.canonical_stack(_require(args, "g"))
-    if sel == "kappa1":
-        return divclass.kappa1(_require(args, "g"))
-    if sel == "koszul-odd":
-        return divclass.koszul_odd_class(_require(args, "i"))
-    if sel == "d22":
-        if getattr(args, "g", None) not in (None, 22):
-            raise ValueError("the genus-22 class only lives at g=22")
-        return divclass.d22_class()
-    if sel == "custom":
-        if getattr(args, "coeffs", None) is None:
-            raise ValueError("--class custom needs --coeffs a,b0,b1,...")
-        g = _require(args, "g")
-        parts = [Fraction(x) for x in args.coeffs.split(",")]
-        if len(parts) != g // 2 + 2:
-            raise ValueError(
-                f"genus {g} needs {g // 2 + 2} coefficients "
-                "(a followed by b_0..b_{g//2})"
-            )
-        return divclass.DivisorClass(
-            g, parts[0], tuple(-b for b in parts[1:])
-        )
-    raise ValueError(f"unknown class selector {sel!r}")
-
-
 def _require(args, name: str) -> int:
-    value = getattr(args, name, None)
+    value = getattr(args, name)
     if value is None:
         raise ValueError(f"this command needs --{name}")
     return value
 
 
-def _class_inputs(args) -> dict:
-    out = {"class": args.klass}
-    for name in ("g", "i", "coeffs"):
-        if getattr(args, name, None) is not None:
-            out[name] = getattr(args, name)
-    return out
+def _d22_class(args) -> divclass.DivisorClass:
+    if args.g not in (None, 22):
+        raise ValueError("the genus-22 class only lives at g=22")
+    return divclass.d22_class()
 
 
-# ---------------------------------------------------------------------
-# Handlers (one per subcommand) returning CommandResult
-# ---------------------------------------------------------------------
-
-
-def _cmd_divclass_canonical(args):
-    g = args.g
-    cls = divclass.canonical_stack(g) if args.stack else divclass.canonical_coarse(g)
-    return CommandResult(
-        "divclass canonical",
-        {"g": g, "stack": bool(args.stack)},
-        cls.to_json_dict(),
-        ["closed-form"],
-        str(cls),
-    )
-
-
-def _cmd_divclass_slope(args):
-    cls = _class_from_args(args)
-    value = divclass.slope(cls)
-    return CommandResult(
-        "divclass slope",
-        _class_inputs(args),
-        "infinite" if value is divclass.INFINITE else _rational(value),
-        ["slope-definition"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_divclass_koszul_odd(args):
-    cls = divclass.koszul_odd_class(args.i)
-    return CommandResult(
-        "divclass koszul-odd",
-        {"i": args.i, "g": 2 * args.i + 3},
-        cls.to_json_dict(),
-        ["test-curve-system", "closed-form"],
-        str(cls),
-    )
-
-
-def _cmd_divclass_koszul_even(args):
-    value = divclass.koszul_even_slope(args.i)
-    return CommandResult(
-        "divclass koszul-even",
-        {"i": args.i, "g": 6 * args.i + 10},
-        _rational(value),
-        ["closed-form"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_divclass_gp_slope(args):
-    value = divclass.gieseker_petri_slope(args.r, args.s)
-    return CommandResult(
-        "divclass gp-slope",
-        {"r": args.r, "s": args.s},
-        _rational(value),
-        ["closed-form"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_divclass_d22(args):
-    cls = divclass.d22_class()
-    return CommandResult(
-        "divclass d22",
-        {},
-        cls.to_json_dict(),
-        ["degeneracy-pipeline", _table_id()],
-        str(cls),
-    )
-
-
-def _cmd_divclass_k3_check(args):
-    cls = _class_from_args(args)
-    value = divclass.k3_obstruction(cls)
-    return CommandResult(
-        "divclass k3-check",
-        _class_inputs(args),
-        value,
-        ["slope-bound", "pencil-pairing"],
-        "true" if value else "false",
-    )
-
-
-def _cmd_divclass_pair(args):
-    cls = _class_from_args(args)
-    curve = divclass.test_curve(args.curve, cls.genus)
-    value = divclass.pair(curve, cls)
-    inputs = _class_inputs(args)
-    inputs["curve"] = args.curve
-    return CommandResult(
-        "divclass pair",
-        inputs,
-        _rational(value),
-        ["test-curve-pairing"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_psi_eval(args):
-    exps = tuple(int(x) for x in args.a.split(","))
-    value = psi.correlator_value(psi.Correlator(args.g, exps))
-    return CommandResult(
-        "psi eval",
-        {"g": args.g, "a": list(exps)},
-        _rational(value),
-        ["dvv-recursion"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_psi_one_point(args):
-    value = psi.psi_one_point(args.g)
-    return CommandResult(
-        "psi one-point",
-        {"g": args.g},
-        _rational(value),
-        ["closed-form"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_psi_pand_bound(args):
-    value = psi.pand_bound(args.g)
-    return CommandResult(
-        "psi pand-bound",
-        {"g": args.g},
-        _rational(value),
-        ["dvv-recursion", "closed-form"],
-        _scalar_human(value, args),
-    )
-
-
-def _cmd_bn_rho(args):
-    value = bn.rho(args.g, args.r, args.d)
-    return CommandResult(
-        "bn rho",
-        {"g": args.g, "r": args.r, "d": args.d},
-        value,
-        ["count-formula"],
-        str(value),
-    )
-
-
-def _cmd_bn_liaison(args):
-    result = bn.liaison_solve(args.g, args.d, args.r)
-    if result is bn.INFEASIBLE:
-        return CommandResult(
-            "bn liaison",
-            {"g": args.g, "d": args.d, "r": args.r},
-            "INFEASIBLE",
-            ["linkage-equations"],
-            "INFEASIBLE",
+def _custom_class(args) -> divclass.DivisorClass:
+    if args.coeffs is None:
+        raise ValueError("--class custom needs --coeffs a,b0,b1,...")
+    g = _require(args, "g")
+    parts = [Fraction(x) for x in args.coeffs.split(",")]
+    if len(parts) != g // 2 + 2:
+        raise ValueError(
+            f"genus {g} needs {g // 2 + 2} coefficients "
+            "(a followed by b_0..b_{g//2})"
         )
-    value = {
-        "f": result.f,
-        "d_res": result.d_res,
-        "g_res": result.g_res,
-        "intersections": result.intersections,
-    }
-    human = " ".join(f"{k}={v}" for k, v in value.items())
-    return CommandResult(
-        "bn liaison",
-        {"g": args.g, "d": args.d, "r": args.r},
-        value,
-        ["linkage-equations"],
-        human,
-    )
+    return divclass.DivisorClass(g, parts[0], tuple(-b for b in parts[1:]))
 
 
-def _cmd_bn_severi(args):
-    report = bn.severi_analyze(args.g)
-    value = {
-        "d_min": report.d_min,
-        "delta": report.delta,
-        "dim_U": report.dim_U,
-        "feasible": report.feasible,
-    }
-    human = (
-        f"d_min={report.d_min} delta={report.delta} dim_U={report.dim_U} "
-        f"feasible={'true' if report.feasible else 'false'}"
-    )
-    return CommandResult(
-        "bn severi", {"g": args.g}, value, ["plane-model-count"], human
-    )
+_CLASSES = {
+    "canonical": lambda a: divclass.canonical_coarse(_require(a, "g")),
+    "canonical-stack": lambda a: divclass.canonical_stack(_require(a, "g")),
+    "kappa1": lambda a: divclass.kappa1(_require(a, "g")),
+    "koszul-odd": lambda a: divclass.koszul_odd_class(_require(a, "i")),
+    "d22": _d22_class,
+    "custom": _custom_class,
+}
 
 
-def _cmd_bn_hilbert_dim(args):
-    value = bn.hilbert_dim(args.d, args.g, args.r)
-    return CommandResult(
-        "bn hilbert-dim",
-        {"d": args.d, "g": args.g, "r": args.r},
-        value,
-        ["count-formula"],
-        str(value),
-    )
+def _pair(args):
+    cls = _CLASSES[args.klass](args)
+    return divclass.pair(divclass.test_curve(args.curve, cls.genus), cls)
 
 
-def _cmd_bn_quadrics(args):
-    value = bn.quadric_count(args.g, args.r, args.d)
-    return CommandResult(
-        "bn quadrics",
-        {"g": args.g, "r": args.r, "d": args.d},
-        value,
-        ["count-formula"],
-        str(value),
-    )
+def _exponents(args) -> tuple[int, ...]:
+    return tuple(int(x) for x in args.a.split(","))
 
 
-def _cmd_bn_limit_check(args):
+def _limit_check(args) -> bool:
     g = args.g
     if g < 2:
         raise ValueError("the canonical limit-series check needs g >= 2")
+    # The canonical series on a genus g-1 component meeting an elliptic
+    # tail, with complementary vanishing orders at the node.
+    aspects = [
+        bn.LinearSeriesData(g - 1, g - 1, 2 * g - 2, (0, *range(2, g + 1))),
+        bn.LinearSeriesData(
+            1, g - 1, 2 * g - 2, (*range(g - 2, 2 * g - 3), 2 * g - 2)
+        ),
+    ]
     curve = bn.TreeCurve((g - 1, 1), ((0, 1),))
-    main_aspect = bn.LinearSeriesData(
-        g - 1, g - 1, 2 * g - 2, (0,) + tuple(range(2, g + 1))
-    )
-    tail_aspect = bn.LinearSeriesData(
-        1,
-        g - 1,
-        2 * g - 2,
-        tuple(range(g - 2, 2 * g - 3)) + (2 * g - 2,),
-    )
-    value = bn.limit_series_compatible(curve, [main_aspect, tail_aspect])
-    return CommandResult(
-        "bn limit-check",
-        {"g": g},
-        value,
-        ["vanishing-compatibility"],
-        "true" if value else "false",
-    )
+    return bn.limit_series_compatible(curve, aspects)
 
 
-def _cmd_taut_reduce(args):
-    element = tautring.element_from_string(args.expr)
-    return CommandResult(
-        "taut reduce",
-        {"expr": args.expr},
-        str(element),
-        ["ring-normal-form"],
-        str(element),
-    )
-
-
-def _cmd_taut_integrate(args):
+def _integrate(args):
     element = tautring.element_from_string(args.expr)
     if args.over == "C":
-        out = tautring.integrate_over_C(element)
-        return CommandResult(
-            "taut integrate",
-            {"expr": args.expr, "over": "C"},
-            str(out),
-            ["ring-normal-form"],
-            str(out),
-        )
-    value = tautring.integrate_over_W(element)
-    return CommandResult(
-        "taut integrate",
-        {"expr": args.expr, "over": "W"},
-        _rational(value),
-        ["ring-normal-form", _table_id()],
-        _scalar_human(value, args),
-    )
+        return str(tautring.integrate_over_C(element))
+    return tautring.integrate_over_W(element)
 
 
-def _cmd_taut_d22_solve(args):
+def _d22_solve(args) -> dict:
     a, b0, b1 = tautring.solve_d22()
-    slope_value = Fraction(a, b0)
-    value = {"a": a, "b0": b0, "b1": b1, "slope": str(slope_value)}
-    human = f"a={a} b0={b0} b1={b1} slope={slope_value}"
-    return CommandResult(
-        "taut d22-solve",
-        {},
-        value,
-        ["degeneracy-pipeline", _table_id()],
-        human,
-    )
+    return {"a": a, "b0": b0, "b1": b1, "slope": Fraction(a, b0)}
 
 
-def _cmd_taut_table_verify(args):
+def _table_verify(args) -> dict:
     table = tautring.load_table()
     table.verify()
-    checksum = table.checksum()
-    return CommandResult(
-        "taut table-verify",
-        {},
-        {"ok": True, "checksum": checksum},
-        [_table_id()],
-        f"pushforward table ok (checksum {checksum[:12]})",
-    )
+    return {"ok": True, "checksum": table.checksum()}
 
 
 def _load_module(path: str) -> koszul.GradedModule:
@@ -427,47 +184,139 @@ def _load_module(path: str) -> koszul.GradedModule:
         return koszul.module_from_json(json.load(handle))
 
 
-def _cmd_koszul_betti(args):
-    module = _load_module(args.input)
-    table = koszul.betti_table(module, args.max_i, args.max_j, args.modulus)
+def _betti_text(table, args) -> str:
     width = max(3, *(len(str(x)) for row in table for x in row))
-    header = "     " + " ".join(f"i={i}".rjust(width) for i in range(args.max_i + 1))
+    header = "     " + " ".join(
+        f"i={i}".rjust(width) for i in range(args.max_i + 1)
+    )
     lines = [header]
     for j, row in enumerate(table):
-        lines.append(
-            f"j={j}: " + " ".join(str(x).rjust(width) for x in row)
-        )
-    provenance = ["exact-linear-algebra"]
-    if args.modulus is not None:
-        provenance.append(f"prime-field@{args.modulus}")
-    return CommandResult(
-        "koszul betti",
-        {
-            "input": args.input,
-            "max_i": args.max_i,
-            "max_j": args.max_j,
-            **({"modulus": args.modulus} if args.modulus is not None else {}),
-        },
-        table,
-        provenance,
-        "\n".join(lines),
+        lines.append(f"j={j}: " + " ".join(str(x).rjust(width) for x in row))
+    return "\n".join(lines)
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``name`` is ``"group subcommand"``.  ``flags`` holds ``(flag,
+    argparse keyword arguments)`` pairs; the values set on the command
+    line become the JSON ``inputs`` under the flag's name (``--max-i``
+    as ``max_i``).  ``compute`` maps the parsed arguments to a raw
+    result, which :func:`_encode` turns into the JSON value and the
+    human text.  ``provenance`` is a list, or a function of the
+    arguments.  ``derived`` adds inputs computed from the arguments, and
+    ``human(raw, args)`` replaces the type-driven human text.
+    """
+
+    name: str
+    flags: tuple
+    compute: Callable
+    provenance: list | Callable
+    derived: Callable | None = None
+    human: Callable | None = None
+
+
+def _ints(*names: str) -> tuple:
+    """Required integer flags ``--name``."""
+    return tuple(
+        (f"--{name}", {"type": int, "required": True}) for name in names
     )
 
 
-def _cmd_koszul_np(args):
-    module = _load_module(args.input)
-    value = koszul.green_lazarsfeld_Np(module, args.p)
-    return CommandResult(
-        "koszul np",
-        {"input": args.input, "p": args.p},
-        value,
-        ["exact-linear-algebra"],
-        "true" if value else "false",
-    )
+def _text(name: str, **spec) -> tuple:
+    """A required string flag ``--name``."""
+    return (f"--{name}", {"type": str, "required": True, **spec})
+
+
+_CLASS_FLAGS = (
+    ("--class", {"dest": "klass", "choices": list(_CLASSES), "required": True}),
+    ("--g", {"type": int}),
+    ("--i", {"type": int}),
+    ("--coeffs", {"type": str}),
+)
+
+
+def _table_provenance(*names: str) -> Callable:
+    return lambda args: [*names, _table_id()]
+
+
+COMMANDS = (
+    Command("divclass canonical",
+            (*_ints("g"), ("--stack", {"action": "store_true"})),
+            lambda a: (divclass.canonical_stack if a.stack
+                       else divclass.canonical_coarse)(a.g),
+            ["closed-form"]),
+    Command("divclass slope", _CLASS_FLAGS,
+            lambda a: divclass.slope(_CLASSES[a.klass](a)),
+            ["slope-definition"]),
+    Command("divclass k3-check", _CLASS_FLAGS,
+            lambda a: divclass.k3_obstruction(_CLASSES[a.klass](a)),
+            ["slope-bound", "pencil-pairing"]),
+    Command("divclass pair",
+            (*_CLASS_FLAGS, _text("curve", choices=["C0", "C1", "R", "B"])),
+            _pair, ["test-curve-pairing"]),
+    Command("divclass koszul-odd", _ints("i"),
+            lambda a: divclass.koszul_odd_class(a.i),
+            ["test-curve-system", "closed-form"],
+            derived=lambda a: {"g": 2 * a.i + 3}),
+    Command("divclass koszul-even", _ints("i"),
+            lambda a: divclass.koszul_even_slope(a.i), ["closed-form"],
+            derived=lambda a: {"g": 6 * a.i + 10}),
+    Command("divclass gp-slope", _ints("r", "s"),
+            lambda a: divclass.gieseker_petri_slope(a.r, a.s),
+            ["closed-form"]),
+    Command("divclass d22", (), lambda a: divclass.d22_class(),
+            _table_provenance("degeneracy-pipeline")),
+    Command("psi eval",
+            (*_ints("g"), _text("a", help="comma-separated exponents, e.g. 2,3")),
+            lambda a: psi.correlator_value(psi.Correlator(a.g, _exponents(a))),
+            ["dvv-recursion"],
+            derived=lambda a: {"a": list(_exponents(a))}),
+    Command("psi one-point", _ints("g"),
+            lambda a: psi.psi_one_point(a.g), ["closed-form"]),
+    Command("psi pand-bound", _ints("g"),
+            lambda a: psi.pand_bound(a.g), ["dvv-recursion", "closed-form"]),
+    Command("bn rho", tuple((x, {"type": int}) for x in ("g", "r", "d")),
+            lambda a: bn.rho(a.g, a.r, a.d), ["count-formula"]),
+    Command("bn liaison", _ints("g", "d", "r"),
+            lambda a: bn.liaison_solve(a.g, a.d, a.r), ["linkage-equations"]),
+    Command("bn severi", _ints("g"),
+            lambda a: bn.severi_analyze(a.g), ["plane-model-count"]),
+    Command("bn hilbert-dim", _ints("d", "g", "r"),
+            lambda a: bn.hilbert_dim(a.d, a.g, a.r), ["count-formula"]),
+    Command("bn quadrics", _ints("g", "r", "d"),
+            lambda a: bn.quadric_count(a.g, a.r, a.d), ["count-formula"]),
+    Command("bn limit-check", _ints("g"), _limit_check,
+            ["vanishing-compatibility"]),
+    Command("taut reduce", (_text("expr"),),
+            lambda a: str(tautring.element_from_string(a.expr)),
+            ["ring-normal-form"]),
+    Command("taut integrate",
+            (_text("expr"), _text("over", choices=["C", "W"])), _integrate,
+            lambda a: ["ring-normal-form"] + (
+                [_table_id()] if a.over == "W" else [])),
+    Command("taut d22-solve", (), _d22_solve,
+            _table_provenance("degeneracy-pipeline")),
+    Command("taut table-verify", (), _table_verify, _table_provenance(),
+            human=lambda value, a:
+            f"pushforward table ok (checksum {value['checksum'][:12]})"),
+    Command("koszul betti",
+            (_text("input"), *_ints("max-i", "max-j"),
+             ("--modulus", {"type": int})),
+            lambda a: koszul.betti_table(_load_module(a.input), a.max_i,
+                                         a.max_j, a.modulus),
+            lambda a: ["exact-linear-algebra"] + (
+                [] if a.modulus is None else [f"prime-field@{a.modulus}"]),
+            human=_betti_text),
+    Command("koszul np", (_text("input"), *_ints("p")),
+            lambda a: koszul.green_lazarsfeld_Np(_load_module(a.input), a.p),
+            ["exact-linear-algebra"]),
+)
 
 
 # ---------------------------------------------------------------------
-# Parser
+# Parser and dispatch, generated from COMMANDS
 # ---------------------------------------------------------------------
 
 
@@ -477,7 +326,7 @@ class _Version(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         checksum = tautring.load_table().checksum()[:12]
-        print(f"mgbar {VERSION} (pushforward table {checksum})")
+        print(f"mgbar {__version__} (pushforward table {checksum})")
         parser.exit(0)
 
 
@@ -505,135 +354,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action=_Version)
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, handler, **kwargs):
-        p = group.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    div = groups.add_parser("divclass").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = sub(div, "canonical", _cmd_divclass_canonical)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--stack", action="store_true")
-    for name, handler in (
-        ("slope", _cmd_divclass_slope),
-        ("k3-check", _cmd_divclass_k3_check),
-        ("pair", _cmd_divclass_pair),
-    ):
-        p = sub(div, name, handler)
-        p.add_argument(
-            "--class", dest="klass", required=True,
-            choices=[
-                "canonical", "canonical-stack", "kappa1",
-                "koszul-odd", "d22", "custom",
-            ],
-        )
-        p.add_argument("--g", type=int)
-        p.add_argument("--i", type=int)
-        p.add_argument("--coeffs", type=str)
-        if name == "pair":
-            p.add_argument(
-                "--curve", required=True, choices=["C0", "C1", "R", "B"]
+    subcommands = {}
+    for command in COMMANDS:
+        group, name = command.name.split()
+        if group not in subcommands:
+            subcommands[group] = groups.add_parser(group).add_subparsers(
+                dest="subcommand", required=True
             )
-    p = sub(div, "koszul-odd", _cmd_divclass_koszul_odd)
-    p.add_argument("--i", type=int, required=True)
-    p = sub(div, "koszul-even", _cmd_divclass_koszul_even)
-    p.add_argument("--i", type=int, required=True)
-    p = sub(div, "gp-slope", _cmd_divclass_gp_slope)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    sub(div, "d22", _cmd_divclass_d22)
-
-    psi_group = groups.add_parser("psi").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = sub(psi_group, "eval", _cmd_psi_eval)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--a", type=str, required=True,
-                   help="comma-separated exponents, e.g. 2,3")
-    p = sub(psi_group, "one-point", _cmd_psi_one_point)
-    p.add_argument("--g", type=int, required=True)
-    p = sub(psi_group, "pand-bound", _cmd_psi_pand_bound)
-    p.add_argument("--g", type=int, required=True)
-
-    bn_group = groups.add_parser("bn").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = sub(bn_group, "rho", _cmd_bn_rho)
-    p.add_argument("g", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p = sub(bn_group, "liaison", _cmd_bn_liaison)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p = sub(bn_group, "severi", _cmd_bn_severi)
-    p.add_argument("--g", type=int, required=True)
-    p = sub(bn_group, "hilbert-dim", _cmd_bn_hilbert_dim)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p = sub(bn_group, "quadrics", _cmd_bn_quadrics)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p = sub(bn_group, "limit-check", _cmd_bn_limit_check)
-    p.add_argument("--g", type=int, required=True)
-
-    taut = groups.add_parser("taut").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = sub(taut, "reduce", _cmd_taut_reduce)
-    p.add_argument("--expr", type=str, required=True)
-    p = sub(taut, "integrate", _cmd_taut_integrate)
-    p.add_argument("--expr", type=str, required=True)
-    p.add_argument("--over", required=True, choices=["C", "W"])
-    sub(taut, "d22-solve", _cmd_taut_d22_solve)
-    sub(taut, "table-verify", _cmd_taut_table_verify)
-
-    koszul_group = groups.add_parser("koszul").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = sub(koszul_group, "betti", _cmd_koszul_betti)
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--max-i", type=int, required=True)
-    p.add_argument("--max-j", type=int, required=True)
-    p.add_argument("--modulus", type=int, default=None)
-    p = sub(koszul_group, "np", _cmd_koszul_np)
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--p", type=int, required=True)
-
+        p = subcommands[group].add_parser(name, parents=[common])
+        p.set_defaults(command=command)
+        for flag, spec in command.flags:
+            p.add_argument(flag, **spec)
     return parser
 
 
-_KEY_VALUE = re.compile(r"([A-Za-z][A-Za-z0-9\-]*)=(.*)", re.DOTALL)
+_KEY_VALUE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*=.*", re.DOTALL)
 
 
 def _rewrite_key_value(argv: list[str]) -> list[str]:
     """Allow ``g=22`` as shorthand for ``--g=22``."""
-    out = []
-    for token in argv:
-        match = _KEY_VALUE.fullmatch(token)
-        if match and not token.startswith("-"):
-            out.append(f"--{match.group(1)}={match.group(2)}")
-        else:
-            out.append(token)
-    return out
+    return [f"--{token}" if _KEY_VALUE.fullmatch(token) else token
+            for token in argv]
+
+
+def _inputs(command: Command, args) -> dict:
+    """The flags set on the command line, then the derived inputs."""
+    inputs = {}
+    for flag, spec in command.flags:
+        key = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, spec.get("dest", key))
+        if value is not None:
+            inputs[key] = value
+    if command.derived is not None:
+        inputs.update(command.derived(args))
+    return inputs
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; raises on domain errors, exits 2 on usage."""
-    parser = _build_parser()
-    args = parser.parse_args(_rewrite_key_value(list(argv)))
-    if not hasattr(args, "json_mode"):
-        args.json_mode = False
-    if not hasattr(args, "tolerance"):
-        args.tolerance = None
-    result = args.handler(args)
-    result.json_mode = bool(args.json_mode)
-    return result
+    args = _build_parser().parse_args(_rewrite_key_value(list(argv)))
+    command = args.command
+    raw = command.compute(args)
+    value, human = _encode(raw, getattr(args, "tolerance", None))
+    if command.human is not None:
+        human = command.human(raw, args)
+    provenance = command.provenance
+    if callable(provenance):
+        provenance = provenance(args)
+    return CommandResult(
+        command.name,
+        _inputs(command, args),
+        value,
+        list(provenance),
+        human,
+        bool(getattr(args, "json_mode", False)),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -594,18 +594,17 @@ def module_from_json(data) -> GradedModule:
     try:
         base_dim = int(data["base_dim"])
         pieces = tuple(int(d) for d in data["pieces"])
-        raw = data["mult"]
+        mult = tuple(
+            tuple(
+                tuple(
+                    tuple(_as_fraction(x) for x in row) for row in layer
+                )
+                for layer in tensor
+            )
+            for tensor in data["mult"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc
-    mult = tuple(
-        tuple(
-            tuple(
-                tuple(Fraction(x) for x in row) for row in layer
-            )
-            for layer in tensor
-        )
-        for tensor in raw
-    )
     return GradedModule(base_dim, pieces, mult)
 
 

@@ -70,6 +70,7 @@ __all__ = [
     "C2",
     "C3",
     "element_from_string",
+    "MAX_EXPONENT",
     "integrate_over_C",
     "integrate_over_W",
     "PushforwardTable",
@@ -228,9 +229,13 @@ class RingElement:
     def __pow__(self, n: int) -> "RingElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = ONE
-        for _ in range(n):
-            out = out * self
+        out, square = ONE, self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # -- rendering ----------------------------------------------------
@@ -297,14 +302,20 @@ _GENERATORS = dict(zip(_GEN_NAMES, (ETA, GAMMA, THETA, C1, C2, C3)))
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-z][a-z0-9]*|\^|\*|\+|-)")
 
+# Largest exponent element_from_string accepts.  The genus-22 pipeline
+# stays far below it; the cap bounds the size of a parsed literal such
+# as ``7/3^n`` and of the exponents a parsed monomial carries.
+MAX_EXPONENT = 1000
+
 
 def element_from_string(text: str) -> RingElement:
     """Parse a ring element from a ``+``/``-``/``*``/``^`` expression.
 
     Accepted factors are the generator names (``eta``, ``gamma``,
     ``theta``, ``c1``, ``c2``, ``c3``), optionally raised to a
-    nonnegative integer power, and rational literals like ``3`` or
-    ``7/2``.  Parentheses are not supported.
+    nonnegative integer power of at most :data:`MAX_EXPONENT`, and
+    rational literals like ``3`` or ``7/2``.  Parentheses are not
+    supported.
     """
     tokens: list[str] = []
     pos = 0
@@ -342,6 +353,10 @@ def element_from_string(text: str) -> RingElement:
             power = 1
             if idx + 2 < len(tokens) and tokens[idx + 1] == "^":
                 power = int(tokens[idx + 2])
+                if power > MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {power} exceeds the limit {MAX_EXPONENT}"
+                    )
                 extra = 2
             elif idx + 1 < len(tokens) and tokens[idx + 1] == "^":
                 raise ValueError("dangling '^'")

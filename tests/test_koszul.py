@@ -300,6 +300,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             K.module_from_json({"pieces": [1, 2]})
 
+    def test_non_nested_mult_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json({"base_dim": 2, "pieces": [1, 2], "mult": 5})
+
+    def test_float_entries_are_rejected(self):
+        data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[[0.1]]]]}
+        with pytest.raises(ValueError, match="exact rational"):
+            K.module_from_json(data)
+        data["mult"] = [[[["1/10"]]]]
+        module = K.module_from_json(data)
+        assert module.mult[0][0][0][0] == Fraction(1, 10)
+
     def test_monomial_module_validation(self):
         with pytest.raises(ValueError):
             K.monomial_quotient_module(2, 2, [(0, 0)])

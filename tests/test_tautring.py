@@ -55,6 +55,29 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             element_from_string("theta + psi")
 
+    def test_power_agrees_with_repeated_products(self):
+        for base in (ONE + GAMMA + THETA - C2 / 2, ETA + 3 * THETA, GAMMA):
+            product = ONE
+            for n in range(9):
+                assert base**n == product
+                product = product * base
+
+    def test_large_powers_take_few_products(self):
+        n = 10**6
+        assert (THETA**n)._terms == {(0, 0, n, 0, 0, 0): Fraction(1)}
+
+    def test_parser_caps_exponents(self):
+        cap = tr.MAX_EXPONENT
+        assert element_from_string(f"theta^{cap}") == THETA**cap
+        assert element_from_string(f"2^{cap}*c1") == 2**cap * C1
+        for text in (
+            f"theta^{cap + 1}",
+            "theta^99999999999999999999",
+            "7/3^99999999999999999999",
+        ):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                element_from_string(text)
+
     def test_truediv_by_scalar(self):
         assert (THETA * 3) / 3 == THETA
         assert THETA / Fraction(1, 2) == 2 * THETA

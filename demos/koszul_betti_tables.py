@@ -2,7 +2,8 @@
 
 A GradedModule packages the multiplication tables M_j x V -> M_{j+1};
 the Koszul differential is assembled from them and all ranks are exact
-(fraction-free elimination, or a large-prime field for quick bounds).
+(sparse elimination per connected block, or a large-prime field for
+quick bounds).
 """
 
 import json

@@ -198,7 +198,7 @@ def test_criterion_8_koszul_oracle():
     def oracle_rank(matrix):
         rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
         for (r, c), v in matrix.entries.items():
-            rows[r][c] = v
+            rows[r][c] = Fraction(v)  # integral entries are stored as int
         rank = 0
         for col in range(matrix.ncols):
             piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)

@@ -1,19 +1,23 @@
 """Koszul matrices, strand dimensions, and the exact rank machinery.
 
 The rank oracle below is deliberately naive (textbook Gaussian
-elimination over Fraction) and is the reference every production rank
-path — dense fraction-free, sparse integer, prime-field — is compared
-against.
+elimination over Fraction) and is the reference the production rank —
+one column-indexed elimination per connected block, exact or over a
+prime field — is compared against.
 """
 
 import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mgbar import cli
 from mgbar import koszul as K
 
 
@@ -21,7 +25,7 @@ def rank_oracle(matrix: K.SparseMatrix) -> int:
     """Row-reduce over Fraction, no scaling tricks, no sparsity."""
     rows = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
     for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
+        rows[r][c] = Fraction(v)  # integral entries are stored as int
     rank = 0
     lead = 0
     for col in range(matrix.ncols):
@@ -39,6 +43,64 @@ def rank_oracle(matrix: K.SparseMatrix) -> int:
         if lead == len(rows):
             break
     return rank
+
+
+def rank_mod_p_oracle(matrix: K.SparseMatrix, p: int) -> int:
+    """Row-reduce over GF(p) after mapping each entry a/b to a * b^-1."""
+    rows = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for (r, c), v in matrix.entries.items():
+        v = Fraction(v)
+        rows[r][c] = v.numerator * pow(v.denominator, -1, p) % p
+    rank = 0
+    for col in range(matrix.ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inv % p
+            if factor:
+                rows[r] = [(x - factor * y) % p
+                           for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def block_matrices(draw) -> K.SparseMatrix:
+    """Block-diagonal matrices with fractional entries, rank-deficient
+    blocks (some rows are combinations of others), and rows and columns
+    permuted afterwards."""
+    entry = st.one_of(
+        st.just(0),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5),
+    )
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=4)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        ncols = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=1, max_size=5))
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k, m = draw(coeff), draw(coeff)
+            rows.append([k * x + m * y for x, y in zip(a, b)])
+        blocks.append((rows, ncols))
+    nrows = sum(len(rows) for rows, _ in blocks)
+    ncols = sum(n for _, n in blocks)
+    row_perm = draw(st.permutations(range(nrows)))
+    col_perm = draw(st.permutations(range(ncols)))
+    entries = {}
+    r0 = c0 = 0
+    for rows, n in blocks:
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row):
+                if v:
+                    entries[(row_perm[r0 + r], col_perm[c0 + c])] = v
+        r0 += len(rows)
+        c0 += n
+    return K.SparseMatrix(nrows, ncols, entries)
 
 
 def random_monomial_module(rng: random.Random) -> K.GradedModule:
@@ -134,21 +196,27 @@ class TestRanks:
                 for i in range(module.base_dim + 1):
                     mat = K.koszul_matrix(module, i, j)
                     expected = rank_oracle(mat)
-                    rows = K._integer_rows(mat)
-                    assert K._rank_dense(rows, mat.ncols) == expected
-                    assert K._rank_sparse(rows) == expected
-                    assert K._rank_modp(rows, K.DEFAULT_PRIME) == expected
                     assert K.matrix_rank(mat) == expected
+                    assert K.matrix_rank(mat, K.DEFAULT_PRIME) == expected
 
     def test_sparse_path_on_a_large_matrix(self):
-        # 240 x 220: above the dense threshold, so matrix_rank goes sparse
+        # 240 x 220, in one connected block of its rows and columns
         module = K.veronese_module(5, 4)
         mat = K.koszul_matrix(module, 3, 2)
-        assert mat.nrows * mat.ncols >= K._DENSE_LIMIT
-        rows = K._integer_rows(mat)
-        dense = K._rank_dense(rows, mat.ncols)
-        assert K.matrix_rank(mat) == dense
-        assert K._rank_modp(rows, K.DEFAULT_PRIME) == dense
+        assert (mat.nrows, mat.ncols) == (240, 220)
+        expected = rank_oracle(mat)
+        assert K.matrix_rank(mat) == expected
+        assert K.matrix_rank(mat, K.DEFAULT_PRIME) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_block_matrices_against_the_oracles(self, data):
+        mat = data.draw(block_matrices())
+        exact = K.matrix_rank(mat)
+        assert exact == rank_oracle(mat)
+        modular = K.matrix_rank(mat, K.DEFAULT_PRIME)
+        assert modular == rank_mod_p_oracle(mat, K.DEFAULT_PRIME)
+        assert modular <= exact
 
     def test_fractional_entries(self):
         mat = K.SparseMatrix(
@@ -157,6 +225,17 @@ class TestRanks:
              (1, 0): Fraction(3, 2), (1, 1): Fraction(1, 1)},
         )
         assert K.matrix_rank(mat) == rank_oracle(mat) == 1
+
+    def test_dependent_rows_with_non_unit_pivots(self):
+        r1, r2 = (2, 3, 5, 7), (3, 5, 7, 2)
+        rows = [r1, r2,
+                [2 * x + 3 * y for x, y in zip(r1, r2)],
+                [5 * x - 7 * y for x, y in zip(r1, r2)]]
+        mat = K.SparseMatrix(4, 4, {
+            (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)
+        })
+        assert K.matrix_rank(mat) == rank_oracle(mat) == 2
+        assert K.matrix_rank(mat, K.DEFAULT_PRIME) == 2
 
     def test_zero_and_empty(self):
         assert K.matrix_rank(K.SparseMatrix(5, 3, {})) == 0
@@ -287,6 +366,74 @@ class TestBettiTable:
         with pytest.raises(ValueError):
             K.betti_table(rnc, 5, 1)
 
+    def test_cells_equal_single_strands(self):
+        rng = random.Random(29)
+        for _ in range(8):
+            module = random_monomial_module(rng)
+            max_i, max_j = module.base_dim, module.top_degree - 1
+            table = K.betti_table(module, max_i, max_j)
+            for j in range(max_j + 1):
+                for i in range(max_i + 1):
+                    strand = K.koszul_cohomology(module, i, j)
+                    assert table[j][i] == strand.k_dim, (i, j)
+
+    def test_each_differential_built_and_ranked_once(self, monkeypatch):
+        built, ranked = [], []
+        build, rank = K.koszul_matrix, K.matrix_rank
+
+        def counting_build(module, i, j):
+            built.append((i, j))
+            return build(module, i, j)
+
+        def counting_rank(matrix, modulus=None):
+            ranked.append(id(matrix))
+            return rank(matrix, modulus)
+
+        monkeypatch.setattr(K, "koszul_matrix", counting_build)
+        monkeypatch.setattr(K, "matrix_rank", counting_rank)
+        table = K.betti_table(K.veronese_module(4, 4), 4, 3)
+        assert table[1][1:4] == [6, 8, 3]
+        assert len(built) == len(set(built))
+        assert len(ranked) == len(built)
+        # the 20 cells, plus d_{5,j} for j < 3: the incoming maps of the
+        # cells i = 4, j > 0, which lie outside the table
+        assert len(built) == 20 + 3
+
+
+class TestSizeBudget:
+    """A small module JSON can ask for comb(base_dim, i)-sized matrices."""
+
+    WIDE = {"base_dim": 40, "pieces": [1, 1, 1, 1],
+            "mult": [[[[1]]] * 40] * 3}
+
+    def test_refused_before_any_matrix_is_built(self, monkeypatch):
+        module = K.module_from_json(self.WIDE)
+
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(K, "koszul_matrix", no_build)
+        with pytest.raises(ValueError, match="limit"):
+            K.betti_table(module, 20, 1)
+        with pytest.raises(ValueError, match="limit"):
+            K.koszul_cohomology(module, 20, 0)
+        with pytest.raises(ValueError, match="limit"):
+            K.green_lazarsfeld_Np(module, 20)
+
+    def test_cli_exits_1_quickly(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.WIDE), encoding="utf-8")
+        start = time.perf_counter()
+        code = cli.main(["koszul", "betti", "--input", str(path),
+                         "--max-i", "20", "--max-j", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
+
+    def test_small_tables_of_a_wide_module_still_run(self):
+        module = K.module_from_json(self.WIDE)
+        assert K.betti_table(module, 1, 1)[0] == [1, 39]
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -311,6 +458,36 @@ class TestSerialization:
         data["mult"] = [[[["1/10"]]]]
         module = K.module_from_json(data)
         assert module.mult[0][0][0][0] == Fraction(1, 10)
+
+    @pytest.mark.parametrize("sizes", [
+        {"base_dim": 1.9},
+        {"base_dim": True},
+        {"base_dim": "1"},
+        {"pieces": [1.7, "1"]},
+        {"pieces": [1, 1.0]},
+        {"pieces": [True, 1]},
+    ])
+    def test_sizes_must_be_integers(self, sizes):
+        data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[["1"]]]]}
+        K.module_from_json(data)
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json(dict(data, **sizes))
+
+    def test_boolean_entries_are_rejected(self):
+        data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[[True]]]]}
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json(data)
+        data["mult"] = [[[[1]]]]
+        assert K.module_from_json(data).mult[0][0][0][0] == Fraction(1)
+
+    def test_repeated_strings_parse_like_fraction(self):
+        texts = ["1", " -2 ", "3/6", "0.25", "1e2", "-0", "007"]
+        data = {"base_dim": 1, "pieces": [1] * 8,
+                "mult": [[[[t]]] for t in texts]}
+        module = K.module_from_json(data)
+        loaded = [m[0][0][0] for m in module.mult]
+        assert loaded == [Fraction(t) for t in texts]
+        assert all(isinstance(m[0][0][0], Fraction) for m in module.mult)
 
     def test_monomial_module_validation(self):
         with pytest.raises(ValueError):

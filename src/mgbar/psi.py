@@ -4,7 +4,7 @@
 
     <tau_{a_1} ... tau_{a_n}>_g = integral of psi_1^{a_1}...psi_n^{a_n}
 
-by the KdV / Virasoro recursion in its double-factorial form.  With
+by the KdV / Virasoro (DVV) recursion in its double-factorial form.  With
 ``k = a - 1`` for a chosen insertion ``tau_a`` with ``a >= 2``, and
 ``rest`` the remaining exponents::
 
@@ -12,15 +12,31 @@ by the KdV / Virasoro recursion in its double-factorial form.  With
         sum_j [(2k+2a_j+1)!! / (2a_j-1)!!] <tau_{a_j+k} prod_{i != j}>_g
       + 1/2 sum_{a+b=k-1} (2a+1)!! (2b+1)!! [
             <tau_a tau_b prod tau_{a_i}>_{g-1}
-          + sum_{g1+g2=g} sum_{I union J = rest}
-                <tau_a tau_I>_{g1} <tau_b tau_J>_{g2} ]
+          + sum_{I, J} <tau_a tau_I>_{g1} <tau_b tau_J>_{g-g1} ]
 
-with ordered ``(a, b)`` pairs and ordered ``(g1, I)`` splits; correlators
-that are off-dimension, unstable, or carry a negative exponent vanish.
-The string and dilaton equations are applied first when a 0 or 1
-exponent is available (they are consequences of the same operator
-family and keep the recursion shallow).  Everything rests on the two
+where ``I`` and ``J = rest - I`` run over ordered index splits of
+``rest``.  The sum is evaluated over its nonzero terms only:
+
+* ``g1`` is fixed by dimension, ``3 g1 = a + sum(I) + 2 - |I|``; a split
+  with no integral ``g1`` in ``0..g`` contributes nothing;
+* splits are taken as sub-multisets ``I`` of ``rest``, each weighted by
+  ``prod_v C(count_v(rest), count_v(I))``, the number of index splits
+  giving it;
+* ``(a, b, g1, I) -> (b, a, g-g1, J)`` maps terms to equal terms, so only
+  ``a <= b`` is visited and the ``a < b`` terms are doubled;
+* the bump weight ``(2k+2a_j+1)!! / (2a_j-1)!!`` is the integer product of
+  the odd numbers from ``2a_j+1`` to ``2k+2a_j+1``.
+
+Correlators that are off-dimension, unstable, or carry a negative
+exponent vanish.  The string and dilaton equations are applied first
+when a 0 or 1 exponent is available (they are consequences of the same
+operator family and keep the recursion shallow).  Everything rests on the two
 seeds ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
+
+Values are kept in a process-wide memo (:func:`cache_info`,
+:func:`cache_clear`); one top-level evaluation may add at most
+``MAX_NEW_ENTRIES`` entries to it and raises :class:`ResourceLimitError`
+past that.
 
 The recursion's correctness is pinned by exact agreement with the
 closed forms it must reproduce: ``<tau_{3g-2}>_g = 1/(24^g g!)``, the
@@ -33,8 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import groupby, product
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Correlator",
@@ -45,11 +61,19 @@ __all__ = [
     "pand_numerator",
     "pand_denominator",
     "pand_bound",
+    "cache_info",
+    "cache_clear",
 ]
 
 # Guard against runaway recursion on adversarial inputs: reject moduli
 # of complex dimension above this.
 _MAX_DIMENSION = 200
+
+# Dimension bounds depth, not time: one top-level evaluation may add at
+# most this many memo entries.  A cold pand_bound(22) adds 5 549, the
+# one-point integral at genus 34 (dimension 100) 39 495; at high genus an
+# entry costs about 0.1 ms, so a refusal comes within a few seconds.
+MAX_NEW_ENTRIES = 50_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -122,6 +146,27 @@ def psi_one_point(g: int) -> Fraction:
 
 
 _memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+_hits = 0
+_misses = 0
+_miss_limit = MAX_NEW_ENTRIES
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    size: int
+
+
+def cache_info() -> CacheInfo:
+    """Memo hits, memo misses (evaluations started) and entries held."""
+    return CacheInfo(_hits, _misses, len(_memo))
+
+
+def cache_clear() -> None:
+    """Empty the memo and reset its counters."""
+    global _hits, _misses
+    _memo.clear()
+    _hits = _misses = 0
 
 
 def _double_factorial(n: int) -> int:
@@ -135,8 +180,9 @@ def _double_factorial(n: int) -> int:
 
 def _value(g: int, exps: tuple[int, ...]) -> Fraction:
     """Recursion core; exps must be sorted.  Returns 0 off the cone."""
+    global _hits, _misses
     n = len(exps)
-    if g < 0 or any(a < 0 for a in exps):
+    if g < 0 or (exps and exps[0] < 0):
         return Fraction(0)
     if 2 * g - 2 + n <= 0:
         return Fraction(0)
@@ -150,7 +196,13 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
     key = (g, exps)
     cached = _memo.get(key)
     if cached is not None:
+        _hits += 1
         return cached
+    _misses += 1
+    if _misses > _miss_limit:
+        raise ResourceLimitError(
+            f"evaluation needs more than {MAX_NEW_ENTRIES} new memo entries"
+        )
 
     if exps[0] == 0 and n >= 2:
         # String equation.
@@ -175,37 +227,42 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
         a_pick = exps[0]
         rest = exps[1:]
         k = a_pick - 1
+        groups = [(v, len(list(run))) for v, run in groupby(rest)]
         total = Fraction(0)
-        for j, a in enumerate(rest):
-            weight = Fraction(
-                _double_factorial(2 * k + 2 * a + 1),
-                _double_factorial(2 * a - 1),
-            )
-            bumped = tuple(sorted(rest[:j] + (a + k,) + rest[j + 1 :]))
+        for v, count in groups:
+            # (2k+2v+1)!! / (2v-1)!!: the odd numbers from 2v+1 to 2k+2v+1.
+            weight = count * math.prod(range(2 * v + 1, 2 * k + 2 * v + 2, 2))
+            j = rest.index(v)
+            bumped = tuple(sorted(rest[:j] + (v + k,) + rest[j + 1 :]))
             total += weight * _value(g, bumped)
+        # Sub-multisets I of rest with J = rest - I, as (sum(I) + 2 - |I|,
+        # I, J, number of index subsets giving I).
+        splits = []
+        for chosen in product(*(range(count + 1) for _, count in groups)):
+            left = tuple(v for (v, _), t in zip(groups, chosen) for _ in range(t))
+            right = tuple(
+                v for (v, count), t in zip(groups, chosen) for _ in range(count - t)
+            )
+            ways = math.prod(
+                math.comb(count, t) for (_, count), t in zip(groups, chosen)
+            )
+            splits.append((sum(left) + 2 - len(left), left, right, ways))
         pair_sum = Fraction(0)
-        for a in range(k):
+        for a in range((k + 1) // 2):
             b = k - 1 - a
+            term = _value(g - 1, tuple(sorted(rest + (a, b))))
+            for shift, left, right, ways in splits:
+                # <tau_a tau_I>_{g1} is on-dimension only for this g1.
+                g1, off = divmod(a + shift, 3)
+                if off or not 0 <= g1 <= g:
+                    continue
+                lhs = _value(g1, tuple(sorted((a,) + left)))
+                if lhs:
+                    term += ways * lhs * _value(g - g1, tuple(sorted((b,) + right)))
+            # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
             weight = _double_factorial(2 * a + 1) * _double_factorial(2 * b + 1)
-            pair_sum += weight * _value(g - 1, tuple(sorted(rest + (a, b))))
-            split_sum = Fraction(0)
-            m = len(rest)
-            for size in range(m + 1):
-                for picked in combinations(range(m), size):
-                    chosen = frozenset(picked)
-                    left = tuple(rest[t] for t in picked)
-                    right = tuple(
-                        rest[t] for t in range(m) if t not in chosen
-                    )
-                    for g1 in range(g + 1):
-                        lhs = _value(g1, tuple(sorted((a,) + left)))
-                        if lhs == 0:
-                            continue
-                        split_sum += lhs * _value(
-                            g - g1, tuple(sorted((b,) + right))
-                        )
-            pair_sum += weight * split_sum
-        total += Fraction(1, 2) * pair_sum
+            pair_sum += (weight if a == b else 2 * weight) * term
+        total += pair_sum / 2
         total /= _double_factorial(2 * k + 3)
 
     _memo[key] = total
@@ -213,12 +270,19 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
 
 
 def correlator_value(c: Correlator) -> Fraction:
-    """Exact value of a stable correlator; 0 when off-dimension."""
+    """Exact value of a stable correlator; 0 when off-dimension.
+
+    One call may add at most ``MAX_NEW_ENTRIES`` entries to the memo;
+    past that it raises :class:`ResourceLimitError`, keeping the entries
+    already finished.
+    """
+    global _miss_limit
     if c.dimension > _MAX_DIMENSION:
         raise ResourceLimitError(
             f"moduli dimension {c.dimension} exceeds the guard "
             f"({_MAX_DIMENSION})"
         )
+    _miss_limit = _misses + MAX_NEW_ENTRIES
     return _value(c.genus, c.exponents)
 
 

@@ -81,7 +81,7 @@ def test_criterion_2_koszul_odd_classes():
 
 def test_criterion_3_pand_bound():
     """60/(g+4) assembled from three independent formulas, under 10 s."""
-    psi._memo.clear()
+    psi.cache_clear()
     start = time.perf_counter()
     for g in range(2, 9):
         assert psi.pand_bound(g) == Fraction(60, g + 4)

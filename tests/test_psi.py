@@ -1,4 +1,5 @@
-"""Descendent integrals: seeds, closed forms, and the two reductions."""
+"""Descendent integrals: seeds, closed forms, oracles that do not share the
+recursion's pivot, the two reductions, and the recursion's work bounds."""
 
 import itertools
 import math
@@ -6,13 +7,89 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mgbar import psi
+from mgbar import cli, psi
 from mgbar.psi import Correlator, correlator_value
 
 
 def val(g, *exps):
     return correlator_value(Correlator(g, exps))
+
+
+def val_or_zero(g, exps):
+    """A correlator's value, with negative genus and unstable data read as 0."""
+    if g < 0 or 2 * g - 2 + len(exps) <= 0:
+        return Fraction(0)
+    return val(g, *exps)
+
+
+def double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def dijkgraaf_two_point(g):
+    """``[<tau_j tau_{3g-1-j}>_g for j in 0..3g-1]`` from Dijkgraaf's function
+
+        sum <tau_j tau_k>_g x^j y^k = exp((x^3 + y^3)/24) / (x + y)
+            * sum_n n!/(2n+1)! (xy(x+y)/2)^n,
+
+    read off the degree-3g part of the numerator, divided by x + y.
+    """
+    c = [Fraction(0)] * (3 * g + 1)  # c[i] = [x^i y^(3g-i)] of the numerator
+    for n in range(g + 1):
+        s_n = Fraction(math.factorial(n), math.factorial(2 * n + 1) * 2**n)
+        for t in range(n + 1):
+            for p in range(g - n + 1):
+                q = g - n - p
+                c[3 * p + n + t] += s_n * math.comb(n, t) / (
+                    24 ** (p + q) * math.factorial(p) * math.factorial(q)
+                )
+    f = []
+    for i in range(3 * g):
+        f.append(c[i] - (f[-1] if f else 0))
+    assert c[3 * g] == f[-1]  # x + y divides the numerator
+    return f
+
+
+def dvv_on_largest(g, exps):
+    """One DVV step pivoted on the largest exponent, every split written out:
+    ordered pairs (a, b), every genus g1, and index subsets of the rest."""
+    exps = sorted(exps)
+    k = exps[-1] - 1
+    rest = exps[:-1]
+    total = Fraction(0)
+    for j, a in enumerate(rest):
+        weight = Fraction(double_factorial(2 * k + 2 * a + 1),
+                          double_factorial(2 * a - 1))
+        total += weight * val_or_zero(g, rest[:j] + [a + k] + rest[j + 1:])
+    pairs = Fraction(0)
+    for a in range(k):
+        b = k - 1 - a
+        term = val_or_zero(g - 1, rest + [a, b])
+        for size in range(len(rest) + 1):
+            for picked in itertools.combinations(range(len(rest)), size):
+                left = [rest[t] for t in picked]
+                right = [rest[t] for t in range(len(rest)) if t not in picked]
+                for g1 in range(g + 1):
+                    term += (val_or_zero(g1, [a] + left)
+                             * val_or_zero(g - g1, [b] + right))
+        pairs += double_factorial(2 * a + 1) * double_factorial(2 * b + 1) * term
+    return (total + pairs / 2) / double_factorial(2 * k + 3)
+
+
+@st.composite
+def pivotable_correlators(draw):
+    """On-dimension stable data whose largest exponent is at least 2."""
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(max(1, 3 - 2 * g), 5))
+    dim = 3 * g - 3 + n
+    cuts = sorted(draw(st.lists(st.integers(0, dim), min_size=n - 1,
+                                max_size=n - 1)))
+    exps = [hi - lo for lo, hi in zip([0] + cuts, cuts + [dim])]
+    assume(max(exps) >= 2)
+    return g, exps
 
 
 class TestCorrelator:
@@ -75,6 +152,33 @@ class TestKnownValues:
                 for a in exps:
                     expected /= math.factorial(a)
                 assert val(0, *exps) == expected, exps
+
+
+class TestIndependentOracles:
+    """Checks that do not share the recursion's choice of pivot."""
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_tau_two_point_by_one_dvv_step(self, g):
+        # DVV on tau_2: the bump term gives (6g-3)(6g-5) <tau_{3g-2}>_g and
+        # the genus-lowering term <tau_0 tau_0 tau_{3g-3}>_{g-1}, which the
+        # string equation turns into <tau_{3g-5}>_{g-1}; no split survives.
+        expected = (
+            Fraction((6 * g - 3) * (6 * g - 5), 24**g * math.factorial(g))
+            + Fraction(1, 2 * 24 ** (g - 1) * math.factorial(g - 1))
+        ) / 15
+        assert val(g, 2, 3 * g - 3) == expected
+
+    @pytest.mark.parametrize("g", range(1, 16))
+    def test_dijkgraaf_two_point_function(self, g):
+        expected = dijkgraaf_two_point(g)
+        for j in range(3 * g):
+            assert val(g, j, 3 * g - 1 - j) == expected[j], (g, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pivotable_correlators())
+    def test_dvv_pivoted_on_the_largest_exponent(self, case):
+        g, exps = case
+        assert dvv_on_largest(g, exps) == val(g, *exps)
 
 
 class TestReductions:
@@ -140,6 +244,71 @@ class TestGuards:
     def test_limit_is_about_dimension_not_value(self):
         # comfortably inside the guard
         assert val(10, 28) == psi.psi_one_point(10)
+
+    def test_work_budget_refuses_and_keeps_the_memo_sound(self, monkeypatch):
+        psi.cache_clear()
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 40)
+        with pytest.raises(psi.ResourceLimitError, match="memo entries"):
+            val(8, 22)
+        kept = dict(psi._memo)
+        assert 0 < len(kept) <= 40
+        monkeypatch.undo()
+        # the memo left by the refused call goes on giving right answers
+        assert val(8, 22) == psi.psi_one_point(8)
+        assert psi.pand_bound(8) == Fraction(5)
+        # and every entry it kept is what a cold evaluation gives
+        psi.cache_clear()
+        for (g, exps), value in kept.items():
+            assert val(g, *exps) == value, (g, exps)
+
+    def test_work_budget_is_per_top_level_call(self, monkeypatch):
+        psi.cache_clear()
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 60)
+        for g in range(2, 9):  # each step adds few entries to a warm memo
+            assert psi.pand_bound(g) == Fraction(60, g + 4)
+        assert psi.cache_info().misses > 60
+
+    def test_cli_fails_closed_on_recursion_work(self, monkeypatch, capsys):
+        psi.cache_clear()
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 2000)
+        assert cli.main(["psi", "eval", "--g", "60", "--a", "178"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "memo entries" in out.err
+        psi.cache_clear()
+
+
+class TestRecursionWork:
+    def test_pand_bound_22_visits_few_children(self, monkeypatch):
+        psi.cache_clear()
+        calls = 0
+        original = psi._value
+
+        def counted(g, exps):
+            nonlocal calls
+            calls += 1
+            return original(g, exps)
+
+        monkeypatch.setattr(psi, "_value", counted)
+        assert psi.pand_bound(22) == Fraction(30, 13)
+        assert len(psi._memo) == 5549
+        # a loop over every genus of the split sum makes 652 283 calls
+        assert calls < 40_000
+        # the budget leaves room for four times the largest known need
+        assert psi.MAX_NEW_ENTRIES >= 4 * 5549
+
+    def test_cache_hooks(self):
+        psi.cache_clear()
+        assert psi.cache_info() == (0, 0, 0)
+        assert val(2, 2, 3) == Fraction(29, 5760)
+        first = psi.cache_info()
+        assert first.misses == first.size == len(psi._memo) > 0
+        assert val(2, 2, 3) == Fraction(29, 5760)
+        again = psi.cache_info()
+        assert (again.hits, again.misses, again.size) == (
+            first.hits + 1, first.misses, first.size)
+        psi.cache_clear()
+        assert psi.cache_info() == (0, 0, 0) and not psi._memo
 
 
 class TestPipeline:

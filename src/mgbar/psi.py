@@ -4,18 +4,33 @@
 
     <tau_{a_1} ... tau_{a_n}>_g = integral of psi_1^{a_1}...psi_n^{a_n}
 
-by the KdV / Virasoro (DVV) recursion in its double-factorial form.  With
-``k = a - 1`` for a chosen insertion ``tau_a`` with ``a >= 2``, and
-``rest`` the remaining exponents::
+by the KdV / Virasoro (DVV) recursion.  The recursion runs on the
+integers
 
-    (2k+3)!! <tau_{k+1} prod tau_{a_i}>_g =
-        sum_j [(2k+2a_j+1)!! / (2a_j-1)!!] <tau_{a_j+k} prod_{i != j}>_g
-      + 1/2 sum_{a+b=k-1} (2a+1)!! (2b+1)!! [
-            <tau_a tau_b prod tau_{a_i}>_{g-1}
-          + sum_{I, J} <tau_a tau_I>_{g1} <tau_b tau_J>_{g-g1} ]
+    V(g; a_1..a_n) = 2^(4g+n-2) prod_i (2a_i+1)!! <tau_{a_1} ... tau_{a_n}>_g
+
+and ``correlator_value`` divides once, at the top.  With ``k = a - 1`` for
+a chosen insertion ``tau_a`` with ``a >= 2``, and ``rest`` the remaining
+exponents, DVV reads::
+
+    V(g; k+1, rest) =
+        2 sum_j (2a_j+1) V(g; rest with a_j -> a_j+k)
+      + sum_{a+b=k-1} [ 4 V(g-1; a, b, rest)
+                        + sum_{I, J} V(g1; a, I) V(g-g1; b, J) ]
 
 where ``I`` and ``J = rest - I`` run over ordered index splits of
-``rest``.  The sum is evaluated over its nonzero terms only:
+``rest``.  In the double-factorial normalisation ``prod (2a_i+1)!! <...>``
+the only non-integral coefficient of DVV is the 1/2 in front of the pair
+sum; the power of two absorbs it.  Each child has a smaller exponent
+``e = 4g+n-2``: a bump drops ``n`` by one, genus lowering goes to
+``(g-1, n+1)``, and a split pair has ``e1 + e2 = e - 1``.  So, by
+induction on ``e`` from the seeds ``V(0; 0,0,0) = 2`` and ``V(1; 1) = 1``,
+every value is an integer.  The string and dilaton equations become
+
+    V(g; 0, S) = 2 sum_j (2a_j+1) V(g; S with a_j -> a_j-1),
+    V(g; 1, S) = 6 (2g-2+|S|) V(g; S).
+
+The pair sum is evaluated over its nonzero terms only:
 
 * ``g1`` is fixed by dimension, ``3 g1 = a + sum(I) + 2 - |I|``; a split
   with no integral ``g1`` in ``0..g`` contributes nothing;
@@ -23,9 +38,7 @@ where ``I`` and ``J = rest - I`` run over ordered index splits of
   ``prod_v C(count_v(rest), count_v(I))``, the number of index splits
   giving it;
 * ``(a, b, g1, I) -> (b, a, g-g1, J)`` maps terms to equal terms, so only
-  ``a <= b`` is visited and the ``a < b`` terms are doubled;
-* the bump weight ``(2k+2a_j+1)!! / (2a_j-1)!!`` is the integer product of
-  the odd numbers from ``2a_j+1`` to ``2k+2a_j+1``.
+  ``a <= b`` is visited and the ``a < b`` terms are doubled.
 
 Correlators that are off-dimension, unstable, or carry a negative
 exponent vanish.  The string and dilaton equations are applied first
@@ -33,10 +46,11 @@ when a 0 or 1 exponent is available (they are consequences of the same
 operator family and keep the recursion shallow).  Everything rests on the two
 seeds ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
 
-Values are kept in a process-wide memo (:func:`cache_info`,
-:func:`cache_clear`); one top-level evaluation may add at most
+The integers ``V`` are kept in a process-wide memo (:func:`cache_info`,
+:func:`cache_clear`).  One top-level evaluation may add at most
 ``MAX_NEW_ENTRIES`` entries to it and raises :class:`ResourceLimitError`
-past that.
+past that; a top-level evaluation that finds ``MAX_NEW_ENTRIES`` entries
+or more drops them first, so the memo never holds twice that.
 
 The recursion's correctness is pinned by exact agreement with the
 closed forms it must reproduce: ``<tau_{3g-2}>_g = 1/(24^g g!)``, the
@@ -72,7 +86,8 @@ _MAX_DIMENSION = 200
 # Dimension bounds depth, not time: one top-level evaluation may add at
 # most this many memo entries.  A cold pand_bound(22) adds 5 549, the
 # one-point integral at genus 34 (dimension 100) 39 495; at high genus an
-# entry costs about 0.1 ms, so a refusal comes within a few seconds.
+# entry costs about 30 us, so `mgbar psi eval --g 60 --a 178` is refused
+# after about 1.7 s of CPU (2 CPUs, Python 3.11.7).
 MAX_NEW_ENTRIES = 50_000
 
 
@@ -145,7 +160,7 @@ def psi_one_point(g: int) -> Fraction:
     return Fraction(1, 24**g * math.factorial(g))
 
 
-_memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 _hits = 0
 _misses = 0
 _miss_limit = MAX_NEW_ENTRIES
@@ -169,29 +184,20 @@ def cache_clear() -> None:
     _hits = _misses = 0
 
 
-def _double_factorial(n: int) -> int:
-    """Odd double factorial with the convention ``(-1)!! = 1``."""
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
-
-
-def _value(g: int, exps: tuple[int, ...]) -> Fraction:
-    """Recursion core; exps must be sorted.  Returns 0 off the cone."""
+def _value(g: int, exps: tuple[int, ...]) -> int:
+    """The integer ``V(g; exps)``; exps must be sorted.  Returns 0 off the cone."""
     global _hits, _misses
     n = len(exps)
     if g < 0 or (exps and exps[0] < 0):
-        return Fraction(0)
+        return 0
     if 2 * g - 2 + n <= 0:
-        return Fraction(0)
+        return 0
     if sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
+        return 0
     if g == 0 and exps == (0, 0, 0):
-        return Fraction(1)
+        return 2
     if g == 1 and exps == (1,):
-        return Fraction(1, 24)
+        return 1
 
     key = (g, exps)
     cached = _memo.get(key)
@@ -207,17 +213,18 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
     if exps[0] == 0 and n >= 2:
         # String equation.
         rest = exps[1:]
-        total = Fraction(0)
+        total = 0
         for j, a in enumerate(rest):
             if a == 0:
                 continue
-            total += _value(
+            total += (2 * a + 1) * _value(
                 g, tuple(sorted(rest[:j] + (a - 1,) + rest[j + 1 :]))
             )
+        total *= 2
     elif exps[0] == 1 and n >= 2:
         # Dilaton equation (the remaining correlator is stable here).
         rest = exps[1:]
-        total = (2 * g - 2 + n - 1) * _value(g, rest)
+        total = 6 * (2 * g - 2 + n - 1) * _value(g, rest)
     else:
         # Full recursion on the insertion of smallest exponent (>= 2
         # here, since string/dilaton took exponents 0 and 1).  Choosing
@@ -228,13 +235,12 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
         rest = exps[1:]
         k = a_pick - 1
         groups = [(v, len(list(run))) for v, run in groupby(rest)]
-        total = Fraction(0)
+        total = 0
         for v, count in groups:
-            # (2k+2v+1)!! / (2v-1)!!: the odd numbers from 2v+1 to 2k+2v+1.
-            weight = count * math.prod(range(2 * v + 1, 2 * k + 2 * v + 2, 2))
             j = rest.index(v)
             bumped = tuple(sorted(rest[:j] + (v + k,) + rest[j + 1 :]))
-            total += weight * _value(g, bumped)
+            total += count * (2 * v + 1) * _value(g, bumped)
+        total *= 2
         # Sub-multisets I of rest with J = rest - I, as (sum(I) + 2 - |I|,
         # I, J, number of index subsets giving I).
         splits = []
@@ -247,10 +253,9 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
                 math.comb(count, t) for (_, count), t in zip(groups, chosen)
             )
             splits.append((sum(left) + 2 - len(left), left, right, ways))
-        pair_sum = Fraction(0)
         for a in range((k + 1) // 2):
             b = k - 1 - a
-            term = _value(g - 1, tuple(sorted(rest + (a, b))))
+            term = 4 * _value(g - 1, tuple(sorted(rest + (a, b))))
             for shift, left, right, ways in splits:
                 # <tau_a tau_I>_{g1} is on-dimension only for this g1.
                 g1, off = divmod(a + shift, 3)
@@ -260,10 +265,7 @@ def _value(g: int, exps: tuple[int, ...]) -> Fraction:
                 if lhs:
                     term += ways * lhs * _value(g - g1, tuple(sorted((b,) + right)))
             # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
-            weight = _double_factorial(2 * a + 1) * _double_factorial(2 * b + 1)
-            pair_sum += (weight if a == b else 2 * weight) * term
-        total += pair_sum / 2
-        total /= _double_factorial(2 * k + 3)
+            total += term if a == b else 2 * term
 
     _memo[key] = total
     return total
@@ -274,7 +276,8 @@ def correlator_value(c: Correlator) -> Fraction:
 
     One call may add at most ``MAX_NEW_ENTRIES`` entries to the memo;
     past that it raises :class:`ResourceLimitError`, keeping the entries
-    already finished.
+    already finished.  A call that finds ``MAX_NEW_ENTRIES`` entries or
+    more in the memo empties it first.
     """
     global _miss_limit
     if c.dimension > _MAX_DIMENSION:
@@ -282,8 +285,13 @@ def correlator_value(c: Correlator) -> Fraction:
             f"moduli dimension {c.dimension} exceeds the guard "
             f"({_MAX_DIMENSION})"
         )
+    if len(_memo) >= MAX_NEW_ENTRIES:
+        _memo.clear()
     _miss_limit = _misses + MAX_NEW_ENTRIES
-    return _value(c.genus, c.exponents)
+    scale = 2 ** (4 * c.genus + len(c.exponents) - 2)
+    for a in c.exponents:
+        scale *= math.prod(range(2 * a + 1, 0, -2))
+    return Fraction(_value(c.genus, c.exponents), scale)
 
 
 # ---------------------------------------------------------------------

@@ -130,6 +130,19 @@ class TestKnownValues:
         assert val(2, 2, 3) == Fraction(29, 5760)
         assert val(3, 1, 7) == Fraction(5, 82944)
 
+    @pytest.mark.parametrize("g, exps, expected", [
+        (2, (2, 3), Fraction(29, 5760)),
+        (2, (2, 2, 2), Fraction(7, 240)),
+        (3, (7,), Fraction(1, 82944)),
+        (3, (2, 6), Fraction(77, 414720)),
+        (3, (3, 5), Fraction(503, 1451520)),
+        (3, (4, 4), Fraction(607, 1451520)),
+    ])
+    def test_frozen_table(self, g, exps, expected):
+        # classical values, checked from a cold memo
+        psi.cache_clear()
+        assert val(g, *exps) == expected
+
     def test_off_dimension_vanishes(self):
         assert val(2, 2, 2) == 0
         assert val(1, 3) == 0
@@ -256,17 +269,42 @@ class TestGuards:
         # the memo left by the refused call goes on giving right answers
         assert val(8, 22) == psi.psi_one_point(8)
         assert psi.pand_bound(8) == Fraction(5)
-        # and every entry it kept is what a cold evaluation gives
-        psi.cache_clear()
-        for (g, exps), value in kept.items():
-            assert val(g, *exps) == value, (g, exps)
+        # and every entry it kept is the entry a cold evaluation leaves
+        for key, value in kept.items():
+            psi.cache_clear()
+            g, exps = key
+            val(g, *exps)
+            fresh = psi._memo[key]
+            assert type(fresh) is type(value) and fresh == value, key
 
     def test_work_budget_is_per_top_level_call(self, monkeypatch):
         psi.cache_clear()
-        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 60)
+        # the warm memo stays below the cap (86 entries before pand_bound(8)),
+        # so it is never dropped and each step adds at most 47 entries
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 90)
         for g in range(2, 9):  # each step adds few entries to a warm memo
             assert psi.pand_bound(g) == Fraction(60, g + 4)
-        assert psi.cache_info().misses > 60
+        assert psi.cache_info().misses > 90
+
+    def test_memo_total_stays_bounded_across_refused_calls(self, monkeypatch):
+        psi.cache_clear()
+        cap = 300
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", cap)
+        sizes = []
+        for g in range(12, 20):
+            # a call that fits (about 90 entries), then one refused after
+            # `cap` new entries at rising genus
+            assert val(7, 19) == psi.psi_one_point(7)
+            with pytest.raises(psi.ResourceLimitError, match="memo entries"):
+                val(g, 3 * g - 2)
+            sizes.append(psi.cache_info().size)
+        assert cap < max(sizes) < 2 * cap
+        # the memo left behind goes on giving right answers
+        assert val(3, 2, 6) == Fraction(77, 414720)
+        assert val(4, 10) == psi.psi_one_point(4)
+        assert psi.pand_bound(6) == Fraction(6)
+        assert psi.cache_info().size < 2 * cap
+        psi.cache_clear()
 
     def test_cli_fails_closed_on_recursion_work(self, monkeypatch, capsys):
         psi.cache_clear()
@@ -292,10 +330,26 @@ class TestRecursionWork:
         monkeypatch.setattr(psi, "_value", counted)
         assert psi.pand_bound(22) == Fraction(30, 13)
         assert len(psi._memo) == 5549
-        # a loop over every genus of the split sum makes 652 283 calls
-        assert calls < 40_000
+        # a loop over every genus of the split sum makes 652 283 calls; the
+        # split sum over nonzero terms makes exactly this many
+        assert calls == 31_541
         # the budget leaves room for four times the largest known need
         assert psi.MAX_NEW_ENTRIES >= 4 * 5549
+
+    def test_memo_holds_integers(self):
+        psi.cache_clear()
+        assert psi.pand_bound(12) == Fraction(15, 4)
+        for g in range(6):
+            for n in range(1, 5):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                dim = 3 * g - 3 + n
+                for exps in itertools.combinations_with_replacement(
+                        range(dim + 1), n):
+                    if sum(exps) == dim:
+                        val(g, *exps)
+        assert psi._memo
+        assert all(type(v) is int for v in psi._memo.values())
 
     def test_cache_hooks(self):
         psi.cache_clear()

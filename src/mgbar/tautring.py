@@ -30,32 +30,41 @@ Two integration functionals complete the calculus:
   monomials before lookup; the table is not symmetric in the roots, so
   the expansion step is essential.
 
-The pushforward table itself ships as a checked-in JSON data file with
-twenty exact rational entries (all root monomials of degree at most
-three); see :func:`load_table` and :meth:`PushforwardTable.verify`.
+The pushforward table is generated, not stored: its twenty entries (all
+root monomials of degree at most three) are the Harris-Tu Chern numbers
+of the dual tautological bundle on ``W^2_17``; see :func:`load_table`.
 
 On top of the ring sits the rank-degeneracy computation that produces
 the coefficients of an effective divisor class on the moduli space of
 stable genus-22 curves: :func:`degeneracy_total` evaluates the second
 Chern class of the virtual bundle ``F - Sym^2(E)`` against two test
 surfaces, and :func:`solve_d22` turns the two resulting integers into
-the divisor coefficients ``(a, b0, b1)``.  The first Chern classes of
-the kernel line bundles that enter that computation are not honest ring
-elements -- only their products against ambient classes are defined --
-so they are tracked by :class:`KernelPoly`, a formal polynomial allowed
-to carry the kernel symbol at most quadratically.
+the divisor coefficients ``(a, b0, b1)``.  Its only stated inputs are
+the two surface classes and the Chern classes of the base bundles; the
+rest follows from three rules:
+
+* the first Chern class ``k`` of the kernel line on a surface ``S`` is
+  not an honest ring element, but ``k*[S] = -shift([S])`` and
+  ``k^2*[S] = shift(shift([S]))``, where ``shift`` raises the Chern
+  index of every term (``x*c_i -> x*c_(i+1)``, ``c_0 = 1``, ``c_4 = 0``);
+* the restrictions are Whitney sums with a line, ``E = A + U`` and
+  ``F = A2 + U^2``, so ``c(E) = c(A)(1 + k)`` and ``c(F) = c(A2)(1 + 2k)``;
+* :func:`chern_of_sym2` applies the splitting-principle closed form for
+  ``Sym^2`` at any rank.
+
+Until the surface class is applied, expressions in ``k`` are tracked by
+:class:`KernelPoly`, a formal polynomial allowed to carry the kernel
+symbol at most quadratically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -76,11 +85,9 @@ __all__ = [
     "PushforwardTable",
     "load_table",
     "KernelPoly",
-    "KernelLine",
     "KernelDegreeError",
     "ChernData",
     "chern_of_sym2",
-    "bundle_library",
     "degeneracy_total",
     "solve_d22",
 ]
@@ -415,29 +422,11 @@ class PushforwardTable:
             raise KeyError(f"no pushforward entry for roots {(e1, e2, e3)}")
 
     def verify(self) -> None:
-        """Check entry count and the internal sign identities."""
-        expected_keys = {
-            (e1, e2, e3)
-            for e1 in range(4)
-            for e2 in range(4)
-            for e3 in range(4)
-            if e1 + e2 + e3 <= 3
-        }
-        if set(self.entries) != expected_keys:
+        """Check that the entries are exactly the Harris-Tu values."""
+        if dict(self.entries) != _w217_entries():
             raise ValueError(
-                "pushforward table must contain exactly the 20 root "
-                "monomials of degree <= 3"
+                "pushforward table differs from the Harris-Tu formula"
             )
-        e = self.entry
-        checks = [
-            (e(2, 1, 0), -e(0, 3, 0), "x1^2*x2 = -x2^3"),
-            (e(1, 0, 2), -e(1, 1, 1), "x1*x3^2 = -x1*x2*x3"),
-            (e(0, 2, 1), -e(1, 1, 1), "x2^2*x3 = -x1*x2*x3"),
-            (e(0, 2, 0), -e(1, 1, 0), "x2^2 = -x1*x2"),
-        ]
-        for lhs, rhs, label in checks:
-            if lhs != rhs:
-                raise ValueError(f"sign identity violated: {label}")
 
     def checksum(self) -> str:
         canonical = ";".join(
@@ -446,22 +435,42 @@ class PushforwardTable:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _harris_tu(exps: tuple[int, ...], g: int, r: int, d: int) -> Fraction:
+    """Harris-Tu Chern number of a root monomial on ``W^r_d``.
+
+    For a Brill-Noether general curve of genus ``g``, the monomial
+    ``x_0^i_0 ... x_r^i_r`` in the Chern roots of the dual tautological
+    bundle on ``W^r_d`` pushes forward to ``q * theta^(g - rho + sum i)``
+    on the Picard variety, with
+
+        q = prod_{k<j} (i_k - i_j + j - k) / prod_j (g - d + 2r + i_j - j)!
+
+    (Harris-Tu 1984; ACGH, *Geometry of Algebraic Curves I*, ch. VII).
+    """
+    numerator = math.prod(
+        exps[k] - exps[j] + j - k
+        for j in range(r + 1)
+        for k in range(j)
+    )
+    denominator = math.prod(
+        math.factorial(g - d + 2 * r + i - j) for j, i in enumerate(exps)
+    )
+    return Fraction(numerator, denominator)
+
+
+def _w217_entries() -> dict[tuple[int, int, int], Fraction]:
+    """Harris-Tu entries of the 20 root monomials of degree <= 3 on ``W^2_17``."""
+    return {
+        exps: _harris_tu(exps, 21, 2, 17)
+        for exps in _cartesian(range(4), repeat=3)
+        if sum(exps) <= 3
+    }
+
+
 @lru_cache(maxsize=1)
 def load_table() -> PushforwardTable:
-    """Load and verify the packaged pushforward table."""
-    payload = (
-        resources.files("mgbar.data")
-        .joinpath("w217_pushforward.json")
-        .read_text()
-    )
-    raw = json.loads(payload)
-    entries = {
-        tuple(item["exponents"]): Fraction(item["value"])
-        for item in raw["entries"]
-    }
-    table = PushforwardTable(entries)
-    table.verify()
-    return table
+    """The pushforward table for ``W^2_17`` of a general genus-21 curve."""
+    return PushforwardTable(_w217_entries())
 
 
 @lru_cache(maxsize=None)
@@ -534,8 +543,8 @@ class KernelPoly:
     """Polynomial in the formal first Chern class of a kernel line bundle.
 
     The symbol ``k = c1(kernel)`` is not an element of the ambient ring:
-    only ``k * xi`` (against ambient classes) and the stored value of
-    ``k^2`` are defined.  We therefore track expressions as
+    only ``k`` and ``k^2`` against a surface class are defined (by the
+    shift rule in :func:`degeneracy_total`).  We therefore track expressions as
     ``const + linear * k + square * k^2`` with ring-element coefficients
     and refuse products in which ``k^3`` or higher would survive.
     """
@@ -620,20 +629,6 @@ def _coerce_kernel(x: "KernelPoly | RingElement | Rational") -> KernelPoly:
 
 
 @dataclass(frozen=True)
-class KernelLine:
-    """Evaluation data for one kernel line bundle on its surface.
-
-    ``pairing`` is the ambient class representing ``c1(kernel)`` times
-    the class of the surface the bundle lives on (that product, unlike
-    the symbol itself, is an honest ambient class); ``square`` plays the
-    same role for ``c1(kernel)^2``.
-    """
-
-    pairing: RingElement
-    square: RingElement
-
-
-@dataclass(frozen=True)
 class ChernData:
     """Rank and first two Chern classes of a bundle.
 
@@ -654,22 +649,46 @@ class ChernData:
 
 
 def chern_of_sym2(E: ChernData) -> ChernData:
-    """Chern data of ``Sym^2`` of a rank-7 bundle.
+    """Chern data of ``Sym^2`` of a rank-``r`` bundle.
 
-    The coefficients ``c1 -> 8 c1`` and ``c2 -> 27 c1^2 + 9 c2`` are
-    specific to rank 7 (splitting-principle bookkeeping), so any other
-    rank is rejected.
+    By the splitting principle ``Sym^2`` has roots ``x_i + x_j`` for
+    ``i <= j``, which gives ``c1 -> (r+1) c1`` and
+    ``c2 -> (r-1)(r+2)/2 c1^2 + (r+2) c2``.
     """
-    if E.rank != 7:
-        raise ValueError("chern_of_sym2 is only valid for rank-7 bundles")
+    r = E.rank
     return ChernData(
-        rank=28,
-        c1=8 * E.c1,
-        c2=27 * E.c1 * E.c1 + 9 * E.c2,
+        rank=r * (r + 1) // 2,
+        c1=(r + 1) * E.c1,
+        c2=(r - 1) * (r + 2) // 2 * E.c1 * E.c1 + (r + 2) * E.c2,
     )
 
 
-# Chern data of the two pushforward bundles on C x Pic^17(C).
+def _with_line(base: ChernData, k: KernelPoly) -> ChernData:
+    """Whitney sum ``base + L`` with ``c1(L) = k``: ``c = c(base)(1 + k)``."""
+    return ChernData(base.rank + 1, base.c1 + k, base.c2 + k * base.c1)
+
+
+# Exponents of (c1, c2, c3) in c_0 = 1, c_1, c_2, c_3, indexed by i.
+_CHERN_INDEX = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _shift(cls: RingElement) -> RingElement:
+    """Send every term ``x*c_i`` to ``x*c_(i+1)``, with ``c_0 = 1``, ``c_4 = 0``.
+
+    Defined only on classes linear in the Chern generators.
+    """
+    out: dict[Key, Fraction] = {}
+    for (eta, gamma, theta, *chern), coeff in cls._terms.items():
+        i = _CHERN_INDEX.index(tuple(chern)) + 1
+        if i < len(_CHERN_INDEX):
+            out[(eta, gamma, theta) + _CHERN_INDEX[i]] = coeff
+    return RingElement(out)
+
+
+# Chern data of the base bundles: A, with E = A + U on both surfaces,
+# and the two pushforward bundles A2, B2 on C x Pic^17(C).
+_A_C1 = C1 - THETA
+_A_C2 = Fraction(1, 2) * THETA * THETA + C2 - THETA * C1
 _A2_C1 = -4 * THETA - 4 * GAMMA - 28 * ETA
 _A2_C2 = 8 * THETA * THETA + 104 * ETA * THETA + 16 * GAMMA * THETA
 _B2_C1 = -4 * THETA + 7 * ETA - 2 * GAMMA
@@ -679,109 +698,39 @@ _B2_C2 = 8 * THETA * THETA - 28 * ETA * THETA + 8 * THETA * GAMMA
 _CLASS_X = C2 - 6 * ETA * THETA + (74 * ETA + 2 * GAMMA) * C1
 _CLASS_Y = C2 - 2 * ETA * THETA + (16 * ETA + GAMMA) * C1
 
-# Kernel line bundle data: "pairing" is c1(kernel) * [surface] pushed to
-# the ambient space, "square" is c1(kernel)^2 * [surface].
-_U_LINE = KernelLine(
-    pairing=-(C3 - 6 * ETA * THETA * C1 + (74 * ETA + 2 * GAMMA) * C2),
-    square=(74 * ETA + 2 * GAMMA) * C3 - 6 * ETA * THETA * C2,
-)
-# The printed source for the V pairing carries the opposite overall
-# sign; the sign used here follows from the Whitney formula applied to
-# the class of Y and is pinned by the end-to-end degeneracy totals.
-_V_LINE = KernelLine(
-    pairing=-(C3 + (16 * ETA + GAMMA) * C2 - 2 * ETA * THETA * C1),
-    square=(16 * ETA + GAMMA) * C3 - 2 * ETA * THETA * C2,
-)
-
-_K = KernelPoly.symbol()
-
-# Restrictions of the rank-7 evaluation bundle E to the two surfaces.
-# c2 carries "+ k*c1 - k*theta"; the plus sign on the k*c1 term is the
-# one consistent with the downstream totals on both sides.
-_E_C1 = KernelPoly.ambient(-THETA + C1) + _K
-_E_C2 = (
-    KernelPoly.ambient(
-        Fraction(1, 2) * THETA * THETA + C2 - THETA * C1
-    )
-    + _K * C1
-    - _K * THETA
-)
-
-
-def bundle_library(name: str) -> ChernData | RingElement | KernelLine:
-    """Named symbolic data entering the genus-22 computation.
-
-    ``A2``/``B2`` are the rank-28 pushforward bundles, ``class_X`` and
-    ``class_Y`` the test-surface classes, ``U``/``V`` the kernel line
-    bundles (returned as :class:`KernelLine` evaluation data), and
-    ``E_on_X``/``E_on_Y``/``F_on_X``/``F_on_Y`` the restrictions whose
-    Chern classes carry the kernel symbol.
-    """
-    if name == "A2":
-        return ChernData(28, _A2_C1, _A2_C2)
-    if name == "B2":
-        return ChernData(28, _B2_C1, _B2_C2)
-    if name == "class_X":
-        return _CLASS_X
-    if name == "class_Y":
-        return _CLASS_Y
-    if name == "U":
-        return _U_LINE
-    if name == "V":
-        return _V_LINE
-    if name in ("E_on_X", "E_on_Y"):
-        return ChernData(7, _E_C1, _E_C2)
-    if name in ("F_on_X", "F_on_Y"):
-        base = bundle_library("A2" if name == "F_on_X" else "B2")
-        return ChernData(
-            rank=29,
-            c1=KernelPoly.ambient(base.c1) + 2 * _K,
-            c2=KernelPoly.ambient(base.c2) + 2 * (_K * base.c1),
-        )
-    raise ValueError(f"unknown bundle name {name!r}")
-
-
-def _resolve(poly: KernelPoly, line: KernelLine, surface: RingElement) -> RingElement:
-    """Multiply a kernel polynomial by its surface class.
-
-    The constant part meets the surface class directly; kernel-linear
-    and kernel-square parts are replaced by the stored pairing data
-    (which already accounts for the surface).
-    """
-    return (
-        poly.const * surface
-        + poly.linear * line.pairing
-        + poly.square * line.square
-    )
+# (surface class, base bundle of F) for each side.
+_SIDES = {
+    "C1": (_CLASS_X, ChernData(28, _A2_C1, _A2_C2)),
+    "C0": (_CLASS_Y, ChernData(28, _B2_C1, _B2_C2)),
+}
 
 
 def degeneracy_total(side: str) -> int:
     """Full evaluation of ``c2(F - Sym^2 E)`` against one test surface.
 
     ``side`` selects the surface: ``"C1"`` uses ``X`` with the bundle
-    ``A2`` and kernel line ``U``; ``"C0"`` uses ``Y`` with ``B2`` and
-    ``V``.  The symbolic expression is expanded, paired with the surface
-    class, integrated over the curve factor and then over the locus; the
-    result must be an integer and is returned as one.
+    ``A2``; ``"C0"`` uses ``Y`` with ``B2``.  With ``k`` the first Chern
+    class of the kernel line, ``E = A + U`` and ``F = base + U^2``; the
+    expression is expanded in ``k``, paired with the surface class
+    through the shift rule, integrated over the curve factor and then
+    over the locus; the result must be an integer and is returned as
+    one.
     """
-    if side == "C1":
-        F = bundle_library("F_on_X")
-        E = bundle_library("E_on_X")
-        line = bundle_library("U")
-        surface = bundle_library("class_X")
-    elif side == "C0":
-        F = bundle_library("F_on_Y")
-        E = bundle_library("E_on_Y")
-        line = bundle_library("V")
-        surface = bundle_library("class_Y")
-    else:
+    if side not in _SIDES:
         raise ValueError("side must be 'C1' or 'C0'")
-
-    S = chern_of_sym2(E)
+    surface, base = _SIDES[side]
+    k = KernelPoly.symbol()
+    F = _with_line(base, 2 * k)
+    S = chern_of_sym2(_with_line(ChernData(6, _A_C1, _A_C2), k))
     expr = F.c2 - F.c1 * S.c1 + S.c1 * S.c1 - S.c2
     if not expr.is_homogeneous(2):
         raise ArithmeticError("degeneracy class is not homogeneous of degree 2")
-    ambient = _resolve(expr, line, surface)
+    shifted = _shift(surface)
+    ambient = (
+        expr.const * surface
+        - expr.linear * shifted
+        + expr.square * _shift(shifted)
+    )
     total = integrate_over_W(integrate_over_C(ambient))
     if total.denominator != 1:
         raise ArithmeticError(

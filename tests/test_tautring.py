@@ -1,12 +1,15 @@
 """Coefficient-ring normal form, pushforwards, and the degeneracy totals."""
 
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgbar import tautring as tr
+from mgbar import bn, tautring as tr
 from mgbar.tautring import (
     C1,
     C2,
@@ -23,6 +26,7 @@ from mgbar.tautring import (
 )
 
 FACT21 = math.factorial(21)
+FROZEN_TABLE = Path(__file__).parent / "data" / "w217_pushforward.json"
 
 
 # -- normal form -------------------------------------------------------
@@ -193,6 +197,63 @@ class TestPushforwardTable:
         with pytest.raises(ValueError):
             tr.PushforwardTable(broken).verify()
 
+    def test_generated_table_equals_the_frozen_one(self):
+        raw = json.loads(FROZEN_TABLE.read_text())
+        frozen = {
+            tuple(item["exponents"]): Fraction(item["value"])
+            for item in raw["entries"]
+        }
+        table = tr.load_table()
+        assert len(frozen) == 20
+        assert set(table.entries) == set(frozen)
+        for exps, value in frozen.items():
+            assert table.entry(*exps) == value, exps
+        assert table.checksum() == tr.PushforwardTable(frozen).checksum() == (
+            "624416250b2ddb2dc6299f1e5626d05941e3bd39f8a3d218072fe87c7340063d"
+        )
+
+
+# rho(g, r, d) = 0 exactly when g = (r+1)s and d = g + r - s for some s.
+CASTELNUOVO_TRIPLES = [
+    ((r + 1) * s, r, (r + 1) * s + r - s)
+    for r in range(1, 20)
+    for s in range(1, 21)
+    if (r + 1) * s <= 20
+]
+# Catalan numbers C_k: the g^1_{k+1} on a general curve of genus 2k.
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+
+
+class TestHarrisTuFormula:
+    @pytest.mark.parametrize("g, r, d", CASTELNUOVO_TRIPLES)
+    def test_castelnuovo_count(self, g, r, d):
+        assert bn.rho(g, r, d) == 0
+        count = math.factorial(g) * tr._harris_tu((0,) * (r + 1), g, r, d)
+        classical = math.factorial(g) * math.prod(
+            Fraction(math.factorial(i), math.factorial(g - d + r + i))
+            for i in range(r + 1)
+        )
+        assert count == classical
+        assert count.denominator == 1 and count > 0
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_pencils_in_even_genus_are_catalan(self, k):
+        g, r, d = 2 * k, 1, k + 1
+        assert (g, r, d) in CASTELNUOVO_TRIPLES
+        assert bn.rho(g, r, d) == 0
+        count = math.factorial(g) * tr._harris_tu((0, 0), g, r, d)
+        assert count == CATALAN[k]
+
+    def test_every_rho_zero_triple_is_listed(self):
+        found = {
+            (g, r, d)
+            for g in range(1, 21)
+            for r in range(1, g)
+            for d in range(1, 2 * g - 1)
+            if bn.rho(g, r, d) == 0 and g - d + r > 0
+        }
+        assert found == set(CASTELNUOVO_TRIPLES)
+
 
 class TestIntegrateOverW:
     def test_theta_cubed(self):
@@ -243,35 +304,105 @@ class TestKernelPoly:
         assert e.const == -(THETA**2)
 
 
-class TestBundles:
-    def test_library_ranks(self):
-        assert tr.bundle_library("A2").rank == 28
-        assert tr.bundle_library("B2").rank == 28
-        assert tr.bundle_library("E_on_X").rank == 7
-        assert tr.bundle_library("F_on_X").rank == 29
+# The genus-22 bundle data as the literals the pipeline once stored; the
+# derived data must reproduce them exactly.
+K = KernelPoly.symbol()
+OLD_KERNEL_LINES = {
+    "C1": (  # U on X
+        -(C3 - 6 * ETA * THETA * C1 + (74 * ETA + 2 * GAMMA) * C2),
+        (74 * ETA + 2 * GAMMA) * C3 - 6 * ETA * THETA * C2,
+    ),
+    "C0": (  # V on Y
+        -(C3 + (16 * ETA + GAMMA) * C2 - 2 * ETA * THETA * C1),
+        (16 * ETA + GAMMA) * C3 - 2 * ETA * THETA * C2,
+    ),
+}
+OLD_E_C1 = KernelPoly.ambient(-THETA + C1) + K
+OLD_E_C2 = (
+    KernelPoly.ambient(Fraction(1, 2) * THETA * THETA + C2 - THETA * C1)
+    + K * C1
+    - K * THETA
+)
+_OLD_A2_C1 = -4 * THETA - 4 * GAMMA - 28 * ETA
+_OLD_B2_C1 = -4 * THETA + 7 * ETA - 2 * GAMMA
+OLD_F = {
+    "C1": (
+        KernelPoly.ambient(_OLD_A2_C1) + 2 * K,
+        KernelPoly.ambient(
+            8 * THETA * THETA + 104 * ETA * THETA + 16 * GAMMA * THETA
+        )
+        + 2 * (K * _OLD_A2_C1),
+    ),
+    "C0": (
+        KernelPoly.ambient(_OLD_B2_C1) + 2 * K,
+        KernelPoly.ambient(
+            8 * THETA * THETA - 28 * ETA * THETA + 8 * THETA * GAMMA
+        )
+        + 2 * (K * _OLD_B2_C1),
+    ),
+}
 
-    def test_unknown_name(self):
+
+def derived_E():
+    return tr._with_line(tr.ChernData(6, tr._A_C1, tr._A_C2), K)
+
+
+def e1_e2(values):
+    """First two elementary symmetric functions, in plain integers."""
+    e2 = sum(values[i] * values[j] for i in range(len(values)) for j in range(i))
+    return sum(values), e2
+
+
+class TestBundles:
+    @pytest.mark.parametrize("side", ["C1", "C0"])
+    def test_kernel_lines_are_chern_shifts(self, side):
+        surface, _ = tr._SIDES[side]
+        pairing, square = OLD_KERNEL_LINES[side]
+        assert -tr._shift(surface) == pairing
+        assert tr._shift(tr._shift(surface)) == square
+
+    def test_shift_raises_the_chern_index(self):
+        assert tr._shift(THETA) == THETA * C1
+        assert tr._shift(ETA * C1 + 3 * C2) == ETA * C2 + 3 * C3
+        assert tr._shift(GAMMA * C3) == ZERO
         with pytest.raises(ValueError):
-            tr.bundle_library("Q9")
+            tr._shift(C1 * C1)
+
+    def test_e_is_a_plus_the_kernel_line(self):
+        E = derived_E()
+        assert E.rank == 7
+        assert E.c1 == OLD_E_C1
+        assert E.c2 == OLD_E_C2
+
+    @pytest.mark.parametrize("side", ["C1", "C0"])
+    def test_f_is_the_base_plus_the_squared_kernel_line(self, side):
+        _, base = tr._SIDES[side]
+        F = tr._with_line(base, 2 * K)
+        assert base.rank == 28 and F.rank == 29
+        assert (F.c1, F.c2) == OLD_F[side]
 
     def test_sym2_of_rank_seven(self):
-        E = tr.bundle_library("E_on_X")
+        E = derived_E()
         S = tr.chern_of_sym2(E)
         assert S.rank == 28
         assert S.c1 == 8 * E.c1
         assert S.c2 == 27 * E.c1 * E.c1 + 9 * E.c2
 
-    def test_sym2_requires_rank_seven(self):
-        bad = tr.ChernData(3, KernelPoly.ambient(C1), KernelPoly.ambient(C2))
-        with pytest.raises(ValueError):
-            tr.chern_of_sym2(bad)
-
-    def test_restriction_shifts(self):
-        A2 = tr.bundle_library("A2")
-        F = tr.bundle_library("F_on_X")
-        k = KernelPoly.symbol()
-        assert F.c1 == KernelPoly.ambient(A2.c1) + 2 * k
-        assert F.c2 == KernelPoly.ambient(A2.c2) + 2 * (k * A2.c1)
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_sym2_closed_form_at_every_rank(self, rank):
+        rng = random.Random(rank)
+        for _ in range(5):
+            roots = [rng.randint(-9, 9) for _ in range(rank)]
+            e1, e2 = e1_e2(roots)
+            # Sym^2 has the roots x_i + x_j with i <= j
+            s1, s2 = e1_e2(
+                [roots[i] + roots[j] for i in range(rank) for j in range(i, rank)]
+            )
+            # c_i scaled by theta^i keeps the classes homogeneous
+            S = tr.chern_of_sym2(tr.ChernData(rank, e1 * THETA, e2 * THETA**2))
+            assert S.rank == rank * (rank + 1) // 2
+            assert S.c1 == s1 * THETA
+            assert S.c2 == s2 * THETA**2
 
 
 class TestDegeneracyPipeline:

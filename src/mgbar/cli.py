@@ -23,7 +23,9 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from . import __version__, bn, divclass, koszul, psi, tautring
+import mgbar
+
+from . import __version__, koszul, psi
 
 __all__ = ["COMMANDS", "Command", "CommandResult", "run", "main"]
 
@@ -65,10 +67,6 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
     non-integer rational, never to the JSON value.  Records (dicts and
     dataclasses) render as ``k=v ...`` without decimals.
     """
-    if value is divclass.INFINITE:
-        return "infinite", "infinite"
-    if value is bn.INFEASIBLE:
-        return "INFEASIBLE", "INFEASIBLE"
     if isinstance(value, bool):
         return value, "true" if value else "false"
     if isinstance(value, (int, Fraction)):
@@ -78,8 +76,17 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
         if tolerance is None:
             return str(exact), str(exact)
         return str(exact), f"{exact} ({_decimal(exact, tolerance)})"
-    if isinstance(value, divclass.DivisorClass):
-        return value.to_json_dict(), str(value)
+    # Only a loaded layer can have made its own sentinels and classes, so
+    # look for divclass and bn without loading them.
+    divclass = sys.modules.get(f"{__package__}.divclass")
+    bn = sys.modules.get(f"{__package__}.bn")
+    if divclass is not None:
+        if value is divclass.INFINITE:
+            return "infinite", "infinite"
+        if isinstance(value, divclass.DivisorClass):
+            return value.to_json_dict(), str(value)
+    if bn is not None and value is bn.INFEASIBLE:
+        return "INFEASIBLE", "INFEASIBLE"
     if dataclasses.is_dataclass(value):
         value = dataclasses.asdict(value)
     if isinstance(value, dict):
@@ -92,7 +99,7 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
 
 
 def _table_id() -> str:
-    return "pushforward-table@" + tautring.load_table().checksum()[:12]
+    return "pushforward-table@" + mgbar.tautring.load_table().checksum()[:12]
 
 
 # ---------------------------------------------------------------------
@@ -107,13 +114,13 @@ def _require(args, name: str) -> int:
     return value
 
 
-def _d22_class(args) -> divclass.DivisorClass:
+def _d22_class(args) -> mgbar.divclass.DivisorClass:
     if args.g not in (None, 22):
         raise ValueError("the genus-22 class only lives at g=22")
-    return divclass.d22_class()
+    return mgbar.divclass.d22_class()
 
 
-def _custom_class(args) -> divclass.DivisorClass:
+def _custom_class(args) -> mgbar.divclass.DivisorClass:
     if args.coeffs is None:
         raise ValueError("--class custom needs --coeffs a,b0,b1,...")
     g = _require(args, "g")
@@ -123,14 +130,14 @@ def _custom_class(args) -> divclass.DivisorClass:
             f"genus {g} needs {g // 2 + 2} coefficients "
             "(a followed by b_0..b_{g//2})"
         )
-    return divclass.DivisorClass(g, parts[0], tuple(-b for b in parts[1:]))
+    return mgbar.divclass.DivisorClass(g, parts[0], tuple(-b for b in parts[1:]))
 
 
 _CLASSES = {
-    "canonical": lambda a: divclass.canonical_coarse(_require(a, "g")),
-    "canonical-stack": lambda a: divclass.canonical_stack(_require(a, "g")),
-    "kappa1": lambda a: divclass.kappa1(_require(a, "g")),
-    "koszul-odd": lambda a: divclass.koszul_odd_class(_require(a, "i")),
+    "canonical": lambda a: mgbar.divclass.canonical_coarse(_require(a, "g")),
+    "canonical-stack": lambda a: mgbar.divclass.canonical_stack(_require(a, "g")),
+    "kappa1": lambda a: mgbar.divclass.kappa1(_require(a, "g")),
+    "koszul-odd": lambda a: mgbar.divclass.koszul_odd_class(_require(a, "i")),
     "d22": _d22_class,
     "custom": _custom_class,
 }
@@ -138,7 +145,8 @@ _CLASSES = {
 
 def _pair(args):
     cls = _CLASSES[args.klass](args)
-    return divclass.pair(divclass.test_curve(args.curve, cls.genus), cls)
+    curve = mgbar.divclass.test_curve(args.curve, cls.genus)
+    return mgbar.divclass.pair(curve, cls)
 
 
 def _exponents(args) -> tuple[int, ...]:
@@ -151,6 +159,7 @@ def _limit_check(args) -> bool:
         raise ValueError("the canonical limit-series check needs g >= 2")
     # The canonical series on a genus g-1 component meeting an elliptic
     # tail, with complementary vanishing orders at the node.
+    bn = mgbar.bn
     aspects = [
         bn.LinearSeriesData(g - 1, g - 1, 2 * g - 2, (0, *range(2, g + 1))),
         bn.LinearSeriesData(
@@ -162,19 +171,19 @@ def _limit_check(args) -> bool:
 
 
 def _integrate(args):
-    element = tautring.element_from_string(args.expr)
+    element = mgbar.tautring.element_from_string(args.expr)
     if args.over == "C":
-        return str(tautring.integrate_over_C(element))
-    return tautring.integrate_over_W(element)
+        return str(mgbar.tautring.integrate_over_C(element))
+    return mgbar.tautring.integrate_over_W(element)
 
 
 def _d22_solve(args) -> dict:
-    a, b0, b1 = tautring.solve_d22()
+    a, b0, b1 = mgbar.tautring.solve_d22()
     return {"a": a, "b0": b0, "b1": b1, "slope": Fraction(a, b0)}
 
 
 def _table_verify(args) -> dict:
-    table = tautring.load_table()
+    table = mgbar.tautring.load_table()
     table.verify()
     return {"ok": True, "checksum": table.checksum()}
 
@@ -244,29 +253,29 @@ def _table_provenance(*names: str) -> Callable:
 COMMANDS = (
     Command("divclass canonical",
             (*_ints("g"), ("--stack", {"action": "store_true"})),
-            lambda a: (divclass.canonical_stack if a.stack
-                       else divclass.canonical_coarse)(a.g),
+            lambda a: (mgbar.divclass.canonical_stack if a.stack
+                       else mgbar.divclass.canonical_coarse)(a.g),
             ["closed-form"]),
     Command("divclass slope", _CLASS_FLAGS,
-            lambda a: divclass.slope(_CLASSES[a.klass](a)),
+            lambda a: mgbar.divclass.slope(_CLASSES[a.klass](a)),
             ["slope-definition"]),
     Command("divclass k3-check", _CLASS_FLAGS,
-            lambda a: divclass.k3_obstruction(_CLASSES[a.klass](a)),
+            lambda a: mgbar.divclass.k3_obstruction(_CLASSES[a.klass](a)),
             ["slope-bound", "pencil-pairing"]),
     Command("divclass pair",
             (*_CLASS_FLAGS, _text("curve", choices=["C0", "C1", "R", "B"])),
             _pair, ["test-curve-pairing"]),
     Command("divclass koszul-odd", _ints("i"),
-            lambda a: divclass.koszul_odd_class(a.i),
+            lambda a: mgbar.divclass.koszul_odd_class(a.i),
             ["test-curve-system", "closed-form"],
             derived=lambda a: {"g": 2 * a.i + 3}),
     Command("divclass koszul-even", _ints("i"),
-            lambda a: divclass.koszul_even_slope(a.i), ["closed-form"],
+            lambda a: mgbar.divclass.koszul_even_slope(a.i), ["closed-form"],
             derived=lambda a: {"g": 6 * a.i + 10}),
     Command("divclass gp-slope", _ints("r", "s"),
-            lambda a: divclass.gieseker_petri_slope(a.r, a.s),
+            lambda a: mgbar.divclass.gieseker_petri_slope(a.r, a.s),
             ["closed-form"]),
-    Command("divclass d22", (), lambda a: divclass.d22_class(),
+    Command("divclass d22", (), lambda a: mgbar.divclass.d22_class(),
             _table_provenance("degeneracy-pipeline")),
     Command("psi eval",
             (*_ints("g"), _text("a", help="comma-separated exponents, e.g. 2,3")),
@@ -278,19 +287,20 @@ COMMANDS = (
     Command("psi pand-bound", _ints("g"),
             lambda a: psi.pand_bound(a.g), ["dvv-recursion", "closed-form"]),
     Command("bn rho", tuple((x, {"type": int}) for x in ("g", "r", "d")),
-            lambda a: bn.rho(a.g, a.r, a.d), ["count-formula"]),
+            lambda a: mgbar.bn.rho(a.g, a.r, a.d), ["count-formula"]),
     Command("bn liaison", _ints("g", "d", "r"),
-            lambda a: bn.liaison_solve(a.g, a.d, a.r), ["linkage-equations"]),
+            lambda a: mgbar.bn.liaison_solve(a.g, a.d, a.r),
+            ["linkage-equations"]),
     Command("bn severi", _ints("g"),
-            lambda a: bn.severi_analyze(a.g), ["plane-model-count"]),
+            lambda a: mgbar.bn.severi_analyze(a.g), ["plane-model-count"]),
     Command("bn hilbert-dim", _ints("d", "g", "r"),
-            lambda a: bn.hilbert_dim(a.d, a.g, a.r), ["count-formula"]),
+            lambda a: mgbar.bn.hilbert_dim(a.d, a.g, a.r), ["count-formula"]),
     Command("bn quadrics", _ints("g", "r", "d"),
-            lambda a: bn.quadric_count(a.g, a.r, a.d), ["count-formula"]),
+            lambda a: mgbar.bn.quadric_count(a.g, a.r, a.d), ["count-formula"]),
     Command("bn limit-check", _ints("g"), _limit_check,
             ["vanishing-compatibility"]),
     Command("taut reduce", (_text("expr"),),
-            lambda a: str(tautring.element_from_string(a.expr)),
+            lambda a: str(mgbar.tautring.element_from_string(a.expr)),
             ["ring-normal-form"]),
     Command("taut integrate",
             (_text("expr"), _text("over", choices=["C", "W"])), _integrate,
@@ -325,7 +335,7 @@ class _Version(argparse.Action):
         super().__init__(option_strings, dest, nargs=0, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        checksum = tautring.load_table().checksum()[:12]
+        checksum = mgbar.tautring.load_table().checksum()[:12]
         print(f"mgbar {__version__} (pushforward table {checksum})")
         parser.exit(0)
 

@@ -458,10 +458,15 @@ def _harris_tu(exps: tuple[int, ...], g: int, r: int, d: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+# The genus of the curve carrying ``W^2_17``, so its Picard variety has
+# dimension 21: the table's entries and the ``21!`` cap both use it.
+_PICARD_GENUS = 21
+
+
 def _w217_entries() -> dict[tuple[int, int, int], Fraction]:
     """Harris-Tu entries of the 20 root monomials of degree <= 3 on ``W^2_17``."""
     return {
-        exps: _harris_tu(exps, 21, 2, 17)
+        exps: _harris_tu(exps, _PICARD_GENUS, 2, 17)
         for exps in _cartesian(range(4), repeat=3)
         if sum(exps) <= 3
     }
@@ -490,9 +495,7 @@ def _root_expansion(a: int, b: int, c: int) -> tuple[tuple[tuple[int, int, int],
 
 
 def integrate_over_W(
-    p: RingElement,
-    table: PushforwardTable | None = None,
-    picard_genus: int = 21,
+    p: RingElement, table: PushforwardTable | None = None
 ) -> Fraction:
     """Integrate a polynomial in ``theta, c1, c2, c3`` over the locus.
 
@@ -501,7 +504,7 @@ def integrate_over_W(
     monomials of degree above 3 vanish for dimension reasons.  Each
     degree-3 monomial ``theta^t c1^a c2^b c3^c`` is expanded into Chern
     roots, looked up in the table, and the sum is capped with
-    ``picard_genus!``.
+    ``\\int_{Pic^21} theta^21 = 21!``.
     """
     if table is None:
         table = load_table()
@@ -526,7 +529,7 @@ def integrate_over_W(
         for roots, mult in _root_expansion(a, b, c):
             value += mult * table.entry(*roots)
         total += coeff * value
-    return total * math.factorial(picard_genus)
+    return total * math.factorial(_PICARD_GENUS)
 
 
 # ---------------------------------------------------------------------

@@ -281,6 +281,12 @@ class TestIntegrateOverW:
         b = tr.integrate_over_W(C1 * THETA**2)
         assert tr.integrate_over_W(2 * THETA**3 + 3 * C1 * THETA**2) == 2 * a + 3 * b
 
+    def test_picard_genus_is_fixed_by_the_table(self):
+        # The table is for Pic^21; another cap would silently be wrong.
+        with pytest.raises(TypeError):
+            tr.integrate_over_W(THETA**3, picard_genus=20)
+        assert tr.integrate_over_W(THETA**3) == 698377680
+
 
 # -- kernel symbol and bundles ------------------------------------------
 

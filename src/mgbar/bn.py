@@ -11,9 +11,8 @@ dominance arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
     "INFEASIBLE",
@@ -60,42 +59,59 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-@dataclass(frozen=True)
 class LinearSeriesData:
     """A ``g^r_d`` on a genus-``g`` curve, with optional vanishing data.
 
     ``vanishing`` is the strictly increasing sequence
     ``0 <= a_0 < ... < a_r <= d`` of vanishing orders at a chosen point;
     the ramification indices ``a_i - i`` must lie in ``[0, d - r]``.
+    Instances are read-only.
     """
 
-    g: int
-    r: int
-    d: int
-    vanishing: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.g < 0 or self.r < 0 or self.d < 0:
+    def __init__(
+        self, g: int, r: int, d: int, vanishing: Sequence[int] | None = None
+    ) -> None:
+        if g < 0 or r < 0 or d < 0:
             raise ValueError("g, r, d must be nonnegative")
-        if self.vanishing is None:
+        seq = None if vanishing is None else tuple(int(a) for a in vanishing)
+        self.__dict__.update(g=g, r=r, d=d, vanishing=seq)
+        if seq is None:
             return
-        seq = tuple(int(a) for a in self.vanishing)
-        object.__setattr__(self, "vanishing", seq)
-        if len(seq) != self.r + 1:
+        if len(seq) != r + 1:
             raise ValueError(
-                f"vanishing sequence needs {self.r + 1} entries, got {len(seq)}"
+                f"vanishing sequence needs {r + 1} entries, got {len(seq)}"
             )
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise ValueError("vanishing sequence must be strictly increasing")
-        if seq[0] < 0 or seq[-1] > self.d:
+        if seq[0] < 0 or seq[-1] > d:
             raise ValueError("vanishing orders must lie in [0, d]")
         for i, a in enumerate(seq):
             alpha = a - i
-            if alpha < 0 or alpha > self.d - self.r:
+            if alpha < 0 or alpha > d - r:
                 raise ValueError(
                     f"ramification index a_{i} - {i} = {alpha} outside "
-                    f"[0, {self.d - self.r}]"
+                    f"[0, {d - r}]"
                 )
+
+    def _key(self) -> tuple:
+        return self.g, self.r, self.d, self.vanishing
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"LinearSeriesData(g={self.g!r}, r={self.r!r}, d={self.d!r}, "
+            f"vanishing={self.vanishing!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def ramification(self) -> tuple[int, ...]:
@@ -104,27 +120,27 @@ class LinearSeriesData:
         return tuple(a - i for i, a in enumerate(self.vanishing))
 
 
-@dataclass(frozen=True)
 class TreeCurve:
     """A nodal curve whose dual graph is a tree.
 
     ``component_genera[i]`` is the geometric genus of component ``i``;
     ``edges`` are unordered pairs of component indices, one per node.
     The arithmetic genus of such a curve is just the sum of the
-    component genera.
+    component genera.  Instances are read-only.
     """
 
-    component_genera: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.component_genera)
+    def __init__(
+        self,
+        component_genera: tuple[int, ...],
+        edges: Sequence[tuple[int, int]],
+    ) -> None:
+        n = len(component_genera)
         if n == 0:
             raise ValueError("need at least one component")
-        if any(g < 0 for g in self.component_genera):
+        if any(g < 0 for g in component_genera):
             raise ValueError("component genera must be nonnegative")
-        edges = tuple(tuple(sorted(e)) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
+        edges = tuple(tuple(sorted(e)) for e in edges)
+        self.__dict__.update(component_genera=component_genera, edges=edges)
         if len(edges) != n - 1:
             raise ValueError("a tree on n components has n - 1 edges")
         for i, j in edges:
@@ -146,6 +162,26 @@ class TreeCurve:
             parent[ri] = rj
         if len({find(i) for i in range(n)}) != 1:
             raise ValueError("dual graph is not connected")
+
+    def _key(self) -> tuple:
+        return self.component_genera, self.edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"TreeCurve(component_genera={self.component_genera!r}, "
+            f"edges={self.edges!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def arithmetic_genus(self) -> int:
@@ -214,19 +250,38 @@ def limit_series_compatible(
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FormalBundle:
-    """Rank/degree data of a vector bundle on a genus-``g`` curve."""
+    """Rank/degree data of a vector bundle on a genus-``g`` curve.
 
-    rank: int
-    degree: int
-    ambient_genus: int
+    Instances are read-only.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, rank: int, degree: int, ambient_genus: int) -> None:
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.ambient_genus < 0:
+        if ambient_genus < 0:
             raise ValueError("genus must be nonnegative")
+        self.__dict__.update(rank=rank, degree=degree, ambient_genus=ambient_genus)
+
+    def _key(self) -> tuple:
+        return self.rank, self.degree, self.ambient_genus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FormalBundle(rank={self.rank!r}, degree={self.degree!r}, "
+            f"ambient_genus={self.ambient_genus!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     def _same_curve(self, other: "FormalBundle") -> None:
         if self.ambient_genus != other.ambient_genus:
@@ -319,8 +374,7 @@ def quadric_count(g: int, r: int, d: int) -> int:
     return math.comb(r + 2, 2) - (2 * d + 1 - g)
 
 
-@dataclass(frozen=True)
-class SeveriReport:
+class SeveriReport(NamedTuple):
     d_min: int
     delta: int
     dim_U: int
@@ -338,22 +392,20 @@ def severi_analyze(g: int) -> SeveriReport:
     """
     if g < 1:
         raise ValueError("needs genus >= 1")
-    d_min = 0
-    while rho(g, 2, d_min) < 0:
-        d_min += 1
-    closed = (2 * g + 8) // 3
-    if d_min != closed:
+    # rho(g, 2, d) increases with d, so d_min is the d where it turns
+    # nonnegative; check the closed form there instead of searching.
+    d_min = (2 * g + 8) // 3
+    if rho(g, 2, d_min) < 0 or rho(g, 2, d_min - 1) >= 0:
         raise RuntimeError(
-            f"minimal plane degree {d_min} disagrees with closed form "
-            f"{closed} at genus {g}"
+            f"closed-form plane degree {d_min} is not the minimal one at "
+            f"genus {g}"
         )
     delta = math.comb(d_min - 1, 2) - g
     dim_u = 3 * d_min + g - 1
     return SeveriReport(d_min, delta, dim_u, dim_u >= 2 * delta)
 
 
-@dataclass(frozen=True)
-class LiaisonResult:
+class LiaisonResult(NamedTuple):
     f: int
     d_res: int
     g_res: int

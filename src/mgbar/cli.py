@@ -11,17 +11,26 @@ rewritten to the first before parsing.
 
 Each subcommand is one row of :data:`COMMANDS`; the parser, the
 dispatch and the JSON record are all generated from that table.
+
+A process is short, so it loads only what its command runs.  Importing
+this module loads ``mgbar.psi`` and ``mgbar.koszul`` with the package
+(deferring them would move their load into the first library call) and
+reaches the other layers as ``mgbar.<layer>`` when a command first uses
+them.  ``json`` loads only for ``--json`` output and Koszul module
+input, ``hashlib`` only for the pushforward-table checksum, and no
+module uses ``dataclasses``.  The parser is built for the one command
+argv names in the normal place; argv that asks the top or group level
+for help or the version, or that they reject, is parsed by the full
+tree, so every message stays the same.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mgbar
 
@@ -30,8 +39,7 @@ from . import __version__, koszul, psi
 __all__ = ["COMMANDS", "Command", "CommandResult", "run", "main"]
 
 
-@dataclasses.dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """What a subcommand produced, in JSON-safe form."""
 
     command: str
@@ -65,7 +73,7 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
     Integers stay integers and other rationals become ``p/q`` strings;
     ``tolerance`` only appends a decimal to the human text of a
     non-integer rational, never to the JSON value.  Records (dicts and
-    dataclasses) render as ``k=v ...`` without decimals.
+    named tuples) render as ``k=v ...`` without decimals.
     """
     if isinstance(value, bool):
         return value, "true" if value else "false"
@@ -87,8 +95,8 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
             return value.to_json_dict(), str(value)
     if bn is not None and value is bn.INFEASIBLE:
         return "INFEASIBLE", "INFEASIBLE"
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.asdict(value)
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         fields = {key: _encode(item) for key, item in value.items()}
         return (
@@ -153,10 +161,18 @@ def _exponents(args) -> tuple[int, ...]:
     return tuple(int(x) for x in args.a.split(","))
 
 
+# The check builds vanishing sequences of length g.
+_MAX_LIMIT_GENUS = 10_000
+
+
 def _limit_check(args) -> bool:
     g = args.g
     if g < 2:
         raise ValueError("the canonical limit-series check needs g >= 2")
+    if g > _MAX_LIMIT_GENUS:
+        raise ValueError(
+            f"the canonical limit-series check needs g <= {_MAX_LIMIT_GENUS}"
+        )
     # The canonical series on a genus g-1 component meeting an elliptic
     # tail, with complementary vanishing orders at the node.
     bn = mgbar.bn
@@ -189,6 +205,8 @@ def _table_verify(args) -> dict:
 
 
 def _load_module(path: str) -> koszul.GradedModule:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         return koszul.module_from_json(json.load(handle))
 
@@ -204,8 +222,7 @@ def _betti_text(table, args) -> str:
     return "\n".join(lines)
 
 
-@dataclasses.dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand.
 
     ``name`` is ``"group subcommand"``.  ``flags`` holds ``(flag,
@@ -340,7 +357,51 @@ class _Version(argparse.Action):
         parser.exit(0)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Store(argparse.Action):
+    """Store one value.  Unlike argparse's own store, refuse the empty
+    list that ``--flag=--`` yields before Python 3.13."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
+class _Tolerance(_Store):
+    """``--tolerance``: a positive rational."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        if values <= 0:
+            raise argparse.ArgumentError(self, f"must be positive, got {values}")
+
+
+class _Reroute(Exception):
+    """argv is not a plain run of the command a cut-down tree was built for."""
+
+
+class _CutDownParser(argparse.ArgumentParser):
+    """The top or group level of a tree built for one command.
+
+    It raises :class:`_Reroute` where a parser would report an error, so
+    usage errors are reported by the full tree, whose messages list every
+    group and subcommand.
+    """
+
+    def error(self, message):
+        raise _Reroute
+
+
+def _build_parser(only: Command | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or the tree cut down to ``only``.
+
+    The cut-down tree differs from the full one only in the choices of
+    its two subcommand levels.  So a parse it accepts routes to the same
+    subcommand parser and yields the same namespace, and an error below
+    the subcommand comes from that same parser.  Its top and group levels
+    print nothing: argv that :func:`_route` lets through cannot ask them
+    for help or the version, and they reroute errors.
+    """
     # SUPPRESS keeps a subcommand's unset flag from clobbering a value
     # parsed before the subcommand; run() fills in the real defaults
     # after parsing.
@@ -351,12 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the full machine-readable record",
     )
     common.add_argument(
-        "--tolerance", type=Fraction, default=argparse.SUPPRESS,
+        "--tolerance", action=_Tolerance, type=Fraction,
+        default=argparse.SUPPRESS,
         help="also render scalar results as decimals to this accuracy "
         "(display only; all computation stays exact)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = (_CutDownParser if only else argparse.ArgumentParser)(
         prog="mgbar",
         description="Exact slope and intersection computations on the "
         "moduli space of stable curves.",
@@ -365,17 +427,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action=_Version)
     groups = parser.add_subparsers(dest="group", required=True)
     subcommands = {}
-    for command in COMMANDS:
+    for command in (only,) if only else COMMANDS:
         group, name = command.name.split()
         if group not in subcommands:
             subcommands[group] = groups.add_parser(group).add_subparsers(
-                dest="subcommand", required=True
+                dest="subcommand", required=True,
+                parser_class=argparse.ArgumentParser,
             )
         p = subcommands[group].add_parser(name, parents=[common])
         p.set_defaults(command=command)
         for flag, spec in command.flags:
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, **{"action": _Store, **spec})
     return parser
+
+
+_BY_WORDS = {tuple(command.name.split()): command for command in COMMANDS}
+
+
+def _route(argv: list[str]) -> Command | None:
+    """The command argv names in the normal place: group and subcommand
+    right after any top-level ``--json`` and ``--tolerance`` flags."""
+    k = 0
+    while k < len(argv) and (argv[k] in ("--json", "--tolerance")
+                             or argv[k].startswith("--tolerance=")):
+        k += 2 if argv[k] == "--tolerance" else 1
+    return _BY_WORDS.get(tuple(argv[k:k + 2]))
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the tree of the routed command, or else the full tree."""
+    only = _route(argv)
+    if only is not None:
+        try:
+            return _build_parser(only).parse_args(argv)
+        except _Reroute:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 _KEY_VALUE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*=.*", re.DOTALL)
@@ -402,7 +489,7 @@ def _inputs(command: Command, args) -> dict:
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; raises on domain errors, exits 2 on usage."""
-    args = _build_parser().parse_args(_rewrite_key_value(list(argv)))
+    args = _parse(_rewrite_key_value(list(argv)))
     command = args.command
     raw = command.compute(args)
     value, human = _encode(raw, getattr(args, "tolerance", None))
@@ -429,7 +516,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(result.to_dict()) if result.json_mode else result.human)
+    if result.json_mode:
+        import json
+
+        print(json.dumps(result.to_dict()))
+    else:
+        print(result.human)
     return 0
 
 

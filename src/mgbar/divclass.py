@@ -19,9 +19,8 @@ minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "DivisorClass",
@@ -85,6 +84,18 @@ class SlopeUndeterminedError(ValueError):
     """A lower-bound-only coefficient could determine the slope."""
 
 
+# A class carries g//2 + 1 boundary coefficients, so its size and the
+# work on it grow with the genus; refuse genera above this.
+MAX_GENUS = 10_000
+
+
+def _boundary_count(g: int) -> int:
+    """``g//2 + 1``, the number of boundary divisors, for ``g <= MAX_GENUS``."""
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} exceeds the guard ({MAX_GENUS})")
+    return g // 2 + 1
+
+
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -93,37 +104,62 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """A divisor class on the genus-``g`` moduli space.
 
     ``delta_coeffs`` always has length ``g//2 + 1``; index ``j`` is the
     coefficient of ``delta_j``.  ``lower_bound_deltas`` marks indices
     whose stored coefficient ``-b_j`` only bounds the true one
-    (``b_true >= b_stored``).
+    (``b_true >= b_stored``).  Instances are read-only.
     """
 
-    genus: int
-    lambda_coeff: Fraction
-    delta_coeffs: tuple[Fraction, ...]
-    lower_bound_deltas: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.genus < 2:
+    def __init__(
+        self,
+        genus: int,
+        lambda_coeff: Rational,
+        delta_coeffs: Iterable[Rational],
+        lower_bound_deltas: Iterable[int] = frozenset(),
+    ) -> None:
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        expected = self.genus // 2 + 1
-        coeffs = tuple(_as_fraction(c) for c in self.delta_coeffs)
+        expected = _boundary_count(genus)
+        coeffs = tuple(_as_fraction(c) for c in delta_coeffs)
         if len(coeffs) != expected:
             raise ValueError(
-                f"genus {self.genus} needs {expected} delta coefficients, "
+                f"genus {genus} needs {expected} delta coefficients, "
                 f"got {len(coeffs)}"
             )
-        object.__setattr__(self, "lambda_coeff", _as_fraction(self.lambda_coeff))
-        object.__setattr__(self, "delta_coeffs", coeffs)
-        flags = frozenset(self.lower_bound_deltas)
+        lambda_coeff = _as_fraction(lambda_coeff)
+        flags = frozenset(lower_bound_deltas)
         if any(j not in range(expected) for j in flags):
             raise ValueError("lower-bound flag outside delta index range")
-        object.__setattr__(self, "lower_bound_deltas", flags)
+        self.__dict__.update(
+            genus=genus, lambda_coeff=lambda_coeff, delta_coeffs=coeffs,
+            lower_bound_deltas=flags,
+        )
+
+    def _key(self) -> tuple:
+        return (self.genus, self.lambda_coeff, self.delta_coeffs,
+                self.lower_bound_deltas)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"DivisorClass(genus={self.genus!r}, "
+            f"lambda_coeff={self.lambda_coeff!r}, "
+            f"delta_coeffs={self.delta_coeffs!r}, "
+            f"lower_bound_deltas={self.lower_bound_deltas!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     # -- linear structure ----------------------------------------------
 
@@ -209,23 +245,47 @@ class DivisorClass:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class CurveNumbers:
-    """Intersection numbers of a 1-cycle with the divisor basis."""
+    """Intersection numbers of a 1-cycle with the divisor basis.
 
-    genus: int
-    lambda_pairing: Fraction
-    delta_pairings: tuple[Fraction, ...]
+    Instances are read-only.
+    """
 
-    def __post_init__(self) -> None:
-        expected = self.genus // 2 + 1
-        pairings = tuple(_as_fraction(c) for c in self.delta_pairings)
+    def __init__(
+        self,
+        genus: int,
+        lambda_pairing: Rational,
+        delta_pairings: Iterable[Rational],
+    ) -> None:
+        expected = _boundary_count(genus)
+        pairings = tuple(_as_fraction(c) for c in delta_pairings)
         if len(pairings) != expected:
-            raise ValueError(
-                f"genus {self.genus} needs {expected} delta pairings"
-            )
-        object.__setattr__(self, "lambda_pairing", _as_fraction(self.lambda_pairing))
-        object.__setattr__(self, "delta_pairings", pairings)
+            raise ValueError(f"genus {genus} needs {expected} delta pairings")
+        self.__dict__.update(
+            genus=genus, lambda_pairing=_as_fraction(lambda_pairing),
+            delta_pairings=pairings,
+        )
+
+    def _key(self) -> tuple:
+        return self.genus, self.lambda_pairing, self.delta_pairings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CurveNumbers(genus={self.genus!r}, "
+            f"lambda_pairing={self.lambda_pairing!r}, "
+            f"delta_pairings={self.delta_pairings!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
 
 def rational_to_str(q: Rational) -> str:
@@ -253,19 +313,19 @@ def canonical_coarse(g: int) -> DivisorClass:
         raise ValueError("canonical_coarse requires genus >= 3")
     if g == 3:
         return DivisorClass(3, Fraction(4), (Fraction(-1), Fraction(0)))
-    coeffs = [Fraction(-2)] * (g // 2 + 1)
+    coeffs = [Fraction(-2)] * _boundary_count(g)
     coeffs[1] = Fraction(-3)
     return DivisorClass(g, Fraction(13), tuple(coeffs))
 
 
 def canonical_stack(g: int) -> DivisorClass:
     """Canonical class of the moduli stack: ``13*lambda - 2*delta``."""
-    return DivisorClass(g, Fraction(13), (Fraction(-2),) * (g // 2 + 1))
+    return DivisorClass(g, Fraction(13), (Fraction(-2),) * _boundary_count(g))
 
 
 def kappa1(g: int) -> DivisorClass:
     """First kappa class, ``12*lambda - delta`` on the standard basis."""
-    return DivisorClass(g, Fraction(12), (Fraction(-1),) * (g // 2 + 1))
+    return DivisorClass(g, Fraction(12), (Fraction(-1),) * _boundary_count(g))
 
 
 def lambda_chern_n(g: int, n: int) -> DivisorClass:
@@ -276,7 +336,7 @@ def lambda_chern_n(g: int, n: int) -> DivisorClass:
     if n < 1:
         raise ValueError("n must be at least 1")
     weight = math.comb(n, 2)
-    lam = DivisorClass(g, Fraction(1), (Fraction(0),) * (g // 2 + 1))
+    lam = DivisorClass(g, Fraction(1), (Fraction(0),) * _boundary_count(g))
     return lam + weight * kappa1(g)
 
 
@@ -341,8 +401,7 @@ def test_curve(kind: str, g: int) -> CurveNumbers:
     """
     if g < 3:
         raise ValueError("test curves need genus >= 3")
-    size = g // 2 + 1
-    deltas = [Fraction(0)] * size
+    deltas = [Fraction(0)] * _boundary_count(g)
     if kind == "C0":
         lam = Fraction(0)
         deltas[0] = Fraction(-2 * g + 2)
@@ -403,6 +462,7 @@ def koszul_odd_class(i: int) -> DivisorClass:
     if i < 0:
         raise ValueError("i must be nonnegative")
     g = 2 * i + 3
+    size = _boundary_count(g)
     rhs = (i + 1) * math.comb(2 * i + 2, i)
     b1 = Fraction(6 * rhs, 2 * g - 4)
     b0 = (rhs + b1) / (2 * g - 2)
@@ -420,7 +480,6 @@ def koszul_odd_class(i: int) -> DivisorClass:
             f"{closed} at i={i}"
         )
 
-    size = g // 2 + 1
     coeffs = [-b0] * size
     coeffs[1] = -b1
     return DivisorClass(

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -94,7 +92,6 @@ def _product(pairs, layer) -> dict:
     return {v: c for v, c in out.items() if c}
 
 
-@dataclass(frozen=True)
 class GradedModule:
     """Dimension data and multiplication tensors of a graded module.
 
@@ -104,30 +101,26 @@ class GradedModule:
     ``(base_dim, piece_dims[j], piece_dims[j+1])``.  The differentials
     and the commutativity check read a private sparse view of it: the
     nonzero ``(w, x)`` per ``(j, l, u)``, with integral ``x`` as ``int``.
+    Instances are read-only.
     """
 
-    base_dim: int
-    piece_dims: tuple[int, ...]
-    mult: tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.base_dim < 1:
+    def __init__(self, base_dim: int, piece_dims, mult) -> None:
+        if base_dim < 1:
             raise ValueError("base_dim must be at least 1")
-        dims = tuple(int(d) for d in self.piece_dims)
-        object.__setattr__(self, "piece_dims", dims)
+        dims = tuple(int(d) for d in piece_dims)
         if len(dims) < 2:
             raise ValueError("need at least pieces M_0 and M_1")
         if any(d < 0 for d in dims):
             raise ValueError("piece dimensions must be nonnegative")
-        tensors = _rows(lambda row: tuple(map(_as_fraction, row)), self.mult)
-        object.__setattr__(self, "mult", tensors)
+        tensors = _rows(lambda row: tuple(map(_as_fraction, row)), mult)
+        self.__dict__.update(base_dim=base_dim, piece_dims=dims, mult=tensors)
         if len(tensors) != len(dims) - 1:
             raise ValueError(
                 f"need {len(dims) - 1} multiplication tensors, "
                 f"got {len(tensors)}"
             )
         for j, tensor in enumerate(tensors):
-            if len(tensor) != self.base_dim:
+            if len(tensor) != base_dim:
                 raise ValueError(f"mult[{j}] must have base_dim layers")
             for l, layer in enumerate(tensor):
                 if len(layer) != dims[j]:
@@ -144,8 +137,28 @@ class GradedModule:
             lambda row: tuple((w, _exact(x)) for w, x in enumerate(row) if x),
             tensors,
         )
-        object.__setattr__(self, "_nonzero", nonzero)
+        self.__dict__["_nonzero"] = nonzero
         self._check_commutativity()
+
+    def _key(self) -> tuple:
+        return self.base_dim, self.piece_dims, self.mult
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"GradedModule(base_dim={self.base_dim!r}, "
+            f"piece_dims={self.piece_dims!r}, mult={self.mult!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def top_degree(self) -> int:
@@ -166,39 +179,78 @@ class GradedModule:
                         )
 
 
-@dataclass(frozen=True)
 class KoszulStrand:
-    i: int
-    j: int
-    kernel_dim: int
-    image_dim: int
-    k_dim: int
+    """``K_{i,j}`` with the kernel and image dimensions it comes from.
 
-    def __post_init__(self) -> None:
-        if self.k_dim != self.kernel_dim - self.image_dim:
+    Instances are read-only.
+    """
+
+    def __init__(
+        self, i: int, j: int, kernel_dim: int, image_dim: int, k_dim: int
+    ) -> None:
+        if k_dim != kernel_dim - image_dim:
             raise ValueError("k_dim must equal kernel_dim - image_dim")
-        if self.k_dim < 0:
+        if k_dim < 0:
             raise ValueError("negative strand dimension")
+        self.__dict__.update(
+            i=i, j=j, kernel_dim=kernel_dim, image_dim=image_dim, k_dim=k_dim
+        )
+
+    def _key(self) -> tuple:
+        return self.i, self.j, self.kernel_dim, self.image_dim, self.k_dim
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"KoszulStrand(i={self.i!r}, j={self.j!r}, "
+            f"kernel_dim={self.kernel_dim!r}, image_dim={self.image_dim!r}, "
+            f"k_dim={self.k_dim!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
     """Immutable sparse matrix; ``entries[(row, col)]`` omits zeros and
     holds integral entries as ``int``, the others as ``Fraction``."""
 
-    nrows: int
-    ncols: int
-    entries: dict
-
-    def __post_init__(self) -> None:
+    def __init__(self, nrows: int, ncols: int, entries: dict) -> None:
         clean = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in entries.items():
             v = _exact(v)
-            if not 0 <= r < self.nrows or not 0 <= c < self.ncols:
+            if not 0 <= r < nrows or not 0 <= c < ncols:
                 raise ValueError(f"entry ({r}, {c}) outside matrix shape")
             if v:
                 clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+        self.__dict__.update(nrows=nrows, ncols=ncols, entries=clean)
+
+    def _key(self) -> tuple:
+        return self.nrows, self.ncols, self.entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    # With __eq__ and no __hash__, instances are unhashable, as the
+    # entries dict is.
+
+    def __repr__(self) -> str:
+        return (
+            f"SparseMatrix(nrows={self.nrows!r}, ncols={self.ncols!r}, "
+            f"entries={self.entries!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -582,6 +634,8 @@ def module_from_json(data) -> GradedModule:
     sizes are JSON integers; accepts a JSON string or an already-parsed
     mapping."""
     if isinstance(data, str):
+        import json
+
         data = json.loads(data)
     # Entries repeat ("0", "1", "-1"), and Fraction(str) dominates the
     # load, so each distinct string is parsed once.

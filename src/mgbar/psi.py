@@ -61,7 +61,6 @@ genus-0 multinomial formula, and the slope-bound ratio assembled in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
 from typing import Iterable, NamedTuple
@@ -79,8 +78,8 @@ __all__ = [
     "cache_clear",
 ]
 
-# Guard against runaway recursion on adversarial inputs: reject moduli
-# of complex dimension above this.
+# Reject moduli of complex dimension above this.  On adversarial inputs
+# it bounds the recursion's depth and the size of the one-point integral.
 _MAX_DIMENSION = 200
 
 # Dimension bounds depth, not time: one top-level evaluation may add at
@@ -95,16 +94,20 @@ class ResourceLimitError(RuntimeError):
     """Input exceeds the configured recursion size guard."""
 
 
-@dataclass(frozen=True)
+def _check_dimension(dimension: int) -> None:
+    if dimension > _MAX_DIMENSION:
+        raise ResourceLimitError(
+            f"moduli dimension {dimension} exceeds the guard "
+            f"({_MAX_DIMENSION})"
+        )
+
+
 class Correlator:
     """A descendent correlator ``<tau_{a_1} ... tau_{a_n}>_g``.
 
     Exponents are stored sorted (correlators are symmetric).  The marked
-    curve must be stable: ``2g - 2 + n > 0``.
+    curve must be stable: ``2g - 2 + n > 0``.  Instances are read-only.
     """
-
-    genus: int
-    exponents: tuple[int, ...]
 
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
         exps = tuple(sorted(int(a) for a in exponents))
@@ -116,8 +119,24 @@ class Correlator:
             raise ValueError(
                 f"unstable correlator: genus {genus} with {len(exps)} insertions"
             )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "exponents", exps)
+        self.__dict__.update(genus=genus, exponents=exps)
+
+    def _key(self) -> tuple:
+        return self.genus, self.exponents
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Correlator(genus={self.genus!r}, exponents={self.exponents!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def dimension(self) -> int:
@@ -157,6 +176,7 @@ def psi_one_point(g: int) -> Fraction:
     """The one-point integral ``<tau_{3g-2}>_g = 1/(24^g g!)``."""
     if g < 1:
         raise ValueError("one-point integrals need genus >= 1")
+    _check_dimension(3 * g - 2)
     return Fraction(1, 24**g * math.factorial(g))
 
 
@@ -280,18 +300,18 @@ def correlator_value(c: Correlator) -> Fraction:
     more in the memo empties it first.
     """
     global _miss_limit
-    if c.dimension > _MAX_DIMENSION:
-        raise ResourceLimitError(
-            f"moduli dimension {c.dimension} exceeds the guard "
-            f"({_MAX_DIMENSION})"
-        )
+    _check_dimension(c.dimension)
     if len(_memo) >= MAX_NEW_ENTRIES:
         _memo.clear()
     _miss_limit = _misses + MAX_NEW_ENTRIES
+    value = _value(c.genus, c.exponents)
+    if not value:
+        # Off dimension, where an exponent can be too large for the scale.
+        return Fraction(0)
     scale = 2 ** (4 * c.genus + len(c.exponents) - 2)
     for a in c.exponents:
         scale *= math.prod(range(2 * a + 1, 0, -2))
-    return Fraction(_value(c.genus, c.exponents), scale)
+    return Fraction(value, scale)
 
 
 # ---------------------------------------------------------------------

@@ -59,14 +59,12 @@ symbol at most quadratically.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 __all__ = [
     "RingElement",
@@ -402,8 +400,7 @@ def integrate_over_C(a: RingElement) -> RingElement:
     return RingElement(out)
 
 
-@dataclass(frozen=True)
-class PushforwardTable:
+class PushforwardTable(NamedTuple):
     """Gysin images of Chern-root monomials on the determinantal locus.
 
     ``entries`` maps root exponents ``(e1, e2, e3)`` with
@@ -429,6 +426,8 @@ class PushforwardTable:
             )
 
     def checksum(self) -> str:
+        import hashlib
+
         canonical = ";".join(
             f"{k[0]},{k[1]},{k[2]}={v}" for k, v in sorted(self.entries.items())
         )
@@ -541,7 +540,6 @@ class KernelDegreeError(ValueError):
     """The kernel symbol appeared with degree three or higher."""
 
 
-@dataclass(frozen=True)
 class KernelPoly:
     """Polynomial in the formal first Chern class of a kernel line bundle.
 
@@ -550,11 +548,36 @@ class KernelPoly:
     shift rule in :func:`degeneracy_total`).  We therefore track expressions as
     ``const + linear * k + square * k^2`` with ring-element coefficients
     and refuse products in which ``k^3`` or higher would survive.
+    Instances are read-only.
     """
 
-    const: RingElement = ZERO
-    linear: RingElement = ZERO
-    square: RingElement = ZERO
+    def __init__(
+        self,
+        const: RingElement = ZERO,
+        linear: RingElement = ZERO,
+        square: RingElement = ZERO,
+    ) -> None:
+        self.__dict__.update(const=const, linear=linear, square=square)
+
+    def _key(self) -> tuple:
+        return self.const, self.linear, self.square
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"KernelPoly(const={self.const!r}, linear={self.linear!r}, "
+            f"square={self.square!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @staticmethod
     def symbol() -> "KernelPoly":
@@ -631,24 +654,40 @@ def _coerce_kernel(x: "KernelPoly | RingElement | Rational") -> KernelPoly:
     return KernelPoly(const=coerced)
 
 
-@dataclass(frozen=True)
 class ChernData:
     """Rank and first two Chern classes of a bundle.
 
     ``c1``/``c2`` are ambient ring elements or, for bundles whose Chern
     classes involve a kernel symbol, :class:`KernelPoly` values.
+    Instances are read-only.
     """
 
-    rank: int
-    c1: RingElement | KernelPoly
-    c2: RingElement | KernelPoly
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(
+        self, rank: int, c1: RingElement | KernelPoly, c2: RingElement | KernelPoly
+    ) -> None:
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        for name, cls, degree in (("c1", self.c1, 1), ("c2", self.c2, 2)):
+        for name, cls, degree in (("c1", c1, 1), ("c2", c2, 2)):
             if not cls.is_homogeneous(degree):
                 raise ValueError(f"{name} must be homogeneous of degree {degree}")
+        self.__dict__.update(rank=rank, c1=c1, c2=c2)
+
+    def _key(self) -> tuple:
+        return self.rank, self.c1, self.c2
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ChernData(rank={self.rank!r}, c1={self.c1!r}, c2={self.c2!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
 
 def chern_of_sym2(E: ChernData) -> ChernData:

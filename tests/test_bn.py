@@ -206,6 +206,20 @@ class TestSeveri:
         feasible = [g for g in range(3, 31) if bn.severi_analyze(g).feasible]
         assert feasible == list(range(3, 11))
 
+    def test_minimal_degree_is_the_first_with_rho_nonnegative(self):
+        for g in range(1, 400):
+            d = 0
+            while bn.rho(g, 2, d) < 0:
+                d += 1
+            assert bn.severi_analyze(g).d_min == d, g
+
+    def test_huge_genus_is_closed_form(self):
+        g = 10**40
+        r = bn.severi_analyze(g)
+        d = (2 * g + 8) // 3
+        assert r == bn.SeveriReport(d, math.comb(d - 1, 2) - g, 3 * d + g - 1,
+                                    False)
+
 
 class TestLiaison:
     def test_reference_links(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,21 @@ class TestDivisorClass:
         d = make(6, 5, 1, 2, 3, 4, flags={2})
         assert "(lower bound)" in str(d)
         assert "5*lambda" in str(d)
+
+    def test_genus_guard(self):
+        top = dc.MAX_GENUS
+        assert len(dc.canonical_stack(top).delta_coeffs) == top // 2 + 1
+        message = f"genus {top + 1} exceeds the guard ({top})"
+        for build in (dc.canonical_coarse, dc.canonical_stack, dc.kappa1,
+                      lambda g: dc.lambda_chern_n(g, 2),
+                      lambda g: dc.test_curve("B", g),
+                      lambda g: dc.DivisorClass(g, 1, ()),
+                      lambda g: dc.CurveNumbers(g, 1, ())):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(top + 1)
+        with pytest.raises(ValueError, match="exceeds the guard"):
+            dc.koszul_odd_class((top - 2) // 2)
+        assert dc.koszul_odd_class((top - 3) // 2).genus <= top
 
 
 class TestCanonicalClasses:

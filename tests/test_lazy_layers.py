@@ -1,54 +1,84 @@
-"""Which layers a process loads, and the package namespace that defers them.
+"""Which modules a process loads, and the package namespace that defers
+the layers.
 
 ``mgbar`` loads ``psi`` and ``koszul`` with the package and the other
 layers on first use, so a short ``mgbar`` process pays only for the
-layers its command runs.  Module sets are read in fresh interpreters,
-since the test process has long since loaded every layer.
+layers its command runs.  The standard library follows the same rule:
+no ``dataclasses`` (and with it ``inspect``) at all, ``json`` only for
+``--json`` output and Koszul module input, ``hashlib`` only for the
+pushforward-table checksum, and argparse parsers only for the command
+run.  Module sets are read in fresh interpreters, since the test process
+has long since loaded every layer.
 """
 
+import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import mgbar
+from mgbar import cli, koszul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAYERS = ("divclass", "tautring", "psi", "bn", "koszul")
 
-# Prints the mgbar modules loaded by ``import mgbar.cli``, then those
-# that running the command in argv[1:] (if any) added, as one JSON line.
+# Prints the modules loaded by ``import mgbar.cli``, then those that
+# running the command in argv[1:] (if any) added, as one JSON line.  The
+# probe's own json import comes after both are read.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import mgbar.cli
-def loaded():
-    return {name for name in sys.modules if name.split(".")[0] == "mgbar"}
-before = loaded()
+before = set(sys.modules)
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert mgbar.cli.main(sys.argv[1:]) == 0
-print(json.dumps([sorted(before), sorted(loaded() - before)]))
+added = set(sys.modules) - before
+import json
+print(json.dumps([sorted(before), sorted(added)]))
 """
+
+# Prints the modules of a bare interpreter, which may already hold some
+# of those watched here (a site hook, say).
+BARE = "import sys; print(' '.join(sorted(sys.modules)))"
+
+
+def _python(*args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def probe(*argv: str) -> tuple[set, set]:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    before, added = json.loads(proc.stdout)
+    before, added = json.loads(_python("-c", PROBE, *argv))
     return set(before), set(added)
+
+
+def mgbar_modules(names: set) -> set:
+    return {name for name in names if name.split(".")[0] == "mgbar"}
+
+
+@pytest.fixture(scope="module")
+def bare() -> set:
+    return set(_python("-c", BARE).split())
 
 
 def test_importing_the_cli_loads_only_psi_and_koszul():
     before, _ = probe()
-    assert before == {"mgbar", "mgbar.cli", "mgbar.psi", "mgbar.koszul"}
+    assert mgbar_modules(before) == {
+        "mgbar", "mgbar.cli", "mgbar.psi", "mgbar.koszul"
+    }
 
 
 @pytest.mark.parametrize("argv, added", [
@@ -58,7 +88,61 @@ def test_importing_the_cli_loads_only_psi_and_koszul():
      {"mgbar.divclass", "mgbar.tautring"}),
 ])
 def test_a_command_loads_only_the_layers_it_uses(argv, added):
-    assert probe(*argv)[1] == added
+    assert mgbar_modules(probe(*argv)[1]) == added
+
+
+# (argv, loads json, loads hashlib); the module file is written by the test.
+STDLIB_CASES = [
+    ([], False, False),
+    (["bn", "rho", "22", "1", "11"], False, False),
+    (["--json", "bn", "rho", "22", "1", "11"], True, False),
+    (["taut", "reduce", "--expr", "eta"], False, False),
+    (["taut", "integrate", "--expr", "theta^3", "--over", "C"], False, False),
+    (["taut", "integrate", "--expr", "theta^18", "--over", "W"], False, True),
+    (["taut", "table-verify"], False, True),
+    (["divclass", "d22"], False, True),
+    (["divclass", "slope", "--class", "canonical", "--g", "4"], False, False),
+    (["psi", "pand-bound", "--g", "5", "--json"], True, False),
+    (["koszul", "np", "--input", "MODULE", "--p", "1"], True, False),
+]
+
+
+@pytest.mark.parametrize("argv, loads_json, loads_hashlib", STDLIB_CASES)
+def test_a_command_loads_no_stdlib_module_it_does_not_use(
+    argv, loads_json, loads_hashlib, bare, tmp_path
+):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(koszul.module_to_json(
+        koszul.veronese_module(3, 3))), encoding="utf-8")
+    before, added = probe(*[str(module) if a == "MODULE" else a for a in argv])
+    loaded = before | added
+    assert {"dataclasses", "inspect"} & loaded <= bare
+    for name, expected in (("json", loads_json), ("hashlib", loads_hashlib)):
+        if expected:
+            assert name in loaded, name
+        else:
+            assert name not in loaded - bare, name
+
+
+def test_a_routed_command_builds_one_branch_of_the_parser():
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["bn", "rho", "22", "1", "11"]) == 0
+    assert len(built) <= 4
+    # An error below the subcommand comes from the subcommand's parser.
+    built.clear()
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit):
+        cli.main(["bn", "rho", "22", "6"])
+    assert len(built) <= 4
 
 
 def test_every_exported_name_is_its_layers_own_object():

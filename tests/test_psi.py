@@ -4,6 +4,7 @@ recursion's pivot, the two reductions, and the recursion's work bounds."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,17 @@ class TestKnownValues:
     def test_off_dimension_vanishes(self):
         assert val(2, 2, 2) == 0
         assert val(1, 3) == 0
+
+    def test_off_dimension_with_a_huge_exponent_is_immediate(self):
+        start = time.process_time()
+        assert val(0, 10**9, 0, 0) == 0
+        assert time.process_time() - start < 0.5
+
+    def test_one_point_guard(self):
+        assert psi.psi_one_point(67) == Fraction(1, 24**67 * math.factorial(67))
+        with pytest.raises(psi.ResourceLimitError,
+                           match=r"moduli dimension 202 exceeds the guard \(200\)"):
+            psi.psi_one_point(68)
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_one_point_closed_form(self, g):

@@ -26,6 +26,37 @@ command uses.
 
 import importlib
 
+
+class _Record:
+    """Read-only record: ``==``, ``hash()`` and ``repr()`` follow the
+    ``_fields`` that the subclass's ``__init__`` puts in ``__dict__`` (no
+    ``__slots__``, so instances stay weak-referenceable)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._key())
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: read-only")
+
+
 # Eager: deferring them moves their load into the first job (psi_sweep +10%).
 from . import koszul, psi
 

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
+from . import _Record
+
 __all__ = [
     "INFEASIBLE",
     "rho",
@@ -59,7 +61,7 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-class LinearSeriesData:
+class LinearSeriesData(_Record):
     """A ``g^r_d`` on a genus-``g`` curve, with optional vanishing data.
 
     ``vanishing`` is the strictly increasing sequence
@@ -67,6 +69,8 @@ class LinearSeriesData:
     the ramification indices ``a_i - i`` must lie in ``[0, d - r]``.
     Instances are read-only.
     """
+
+    _fields = ("g", "r", "d", "vanishing")
 
     def __init__(
         self, g: int, r: int, d: int, vanishing: Sequence[int] | None = None
@@ -93,26 +97,6 @@ class LinearSeriesData:
                     f"[0, {d - r}]"
                 )
 
-    def _key(self) -> tuple:
-        return self.g, self.r, self.d, self.vanishing
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"LinearSeriesData(g={self.g!r}, r={self.r!r}, d={self.d!r}, "
-            f"vanishing={self.vanishing!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
-
     @property
     def ramification(self) -> tuple[int, ...]:
         if self.vanishing is None:
@@ -120,7 +104,7 @@ class LinearSeriesData:
         return tuple(a - i for i, a in enumerate(self.vanishing))
 
 
-class TreeCurve:
+class TreeCurve(_Record):
     """A nodal curve whose dual graph is a tree.
 
     ``component_genera[i]`` is the geometric genus of component ``i``;
@@ -128,6 +112,8 @@ class TreeCurve:
     The arithmetic genus of such a curve is just the sum of the
     component genera.  Instances are read-only.
     """
+
+    _fields = ("component_genera", "edges")
 
     def __init__(
         self,
@@ -146,7 +132,7 @@ class TreeCurve:
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
-        # Connectivity check by union-find.
+        # Union-find: n - 1 edges without a cycle join all n components.
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -160,28 +146,6 @@ class TreeCurve:
             if ri == rj:
                 raise ValueError("edges contain a cycle")
             parent[ri] = rj
-        if len({find(i) for i in range(n)}) != 1:
-            raise ValueError("dual graph is not connected")
-
-    def _key(self) -> tuple:
-        return self.component_genera, self.edges
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"TreeCurve(component_genera={self.component_genera!r}, "
-            f"edges={self.edges!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def arithmetic_genus(self) -> int:
@@ -250,11 +214,13 @@ def limit_series_compatible(
 # ---------------------------------------------------------------------
 
 
-class FormalBundle:
+class FormalBundle(_Record):
     """Rank/degree data of a vector bundle on a genus-``g`` curve.
 
     Instances are read-only.
     """
+
+    _fields = ("rank", "degree", "ambient_genus")
 
     def __init__(self, rank: int, degree: int, ambient_genus: int) -> None:
         if rank < 1:
@@ -263,32 +229,9 @@ class FormalBundle:
             raise ValueError("genus must be nonnegative")
         self.__dict__.update(rank=rank, degree=degree, ambient_genus=ambient_genus)
 
-    def _key(self) -> tuple:
-        return self.rank, self.degree, self.ambient_genus
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"FormalBundle(rank={self.rank!r}, degree={self.degree!r}, "
-            f"ambient_genus={self.ambient_genus!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
-
-    def _same_curve(self, other: "FormalBundle") -> None:
+    def tensor(self, other: "FormalBundle") -> "FormalBundle":
         if self.ambient_genus != other.ambient_genus:
             raise ValueError("bundles live on curves of different genus")
-
-    def tensor(self, other: "FormalBundle") -> "FormalBundle":
-        self._same_curve(other)
         return FormalBundle(
             self.rank * other.rank,
             self.rank * other.degree + other.rank * self.degree,

@@ -22,6 +22,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from . import _Record
+
 __all__ = [
     "DivisorClass",
     "CurveNumbers",
@@ -104,7 +106,7 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class DivisorClass:
+class DivisorClass(_Record):
     """A divisor class on the genus-``g`` moduli space.
 
     ``delta_coeffs`` always has length ``g//2 + 1``; index ``j`` is the
@@ -112,6 +114,8 @@ class DivisorClass:
     whose stored coefficient ``-b_j`` only bounds the true one
     (``b_true >= b_stored``).  Instances are read-only.
     """
+
+    _fields = ("genus", "lambda_coeff", "delta_coeffs", "lower_bound_deltas")
 
     def __init__(
         self,
@@ -138,45 +142,19 @@ class DivisorClass:
             lower_bound_deltas=flags,
         )
 
-    def _key(self) -> tuple:
-        return (self.genus, self.lambda_coeff, self.delta_coeffs,
-                self.lower_bound_deltas)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"DivisorClass(genus={self.genus!r}, "
-            f"lambda_coeff={self.lambda_coeff!r}, "
-            f"delta_coeffs={self.delta_coeffs!r}, "
-            f"lower_bound_deltas={self.lower_bound_deltas!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
-
     # -- linear structure ----------------------------------------------
 
     @classmethod
     def zero(cls, genus: int) -> "DivisorClass":
         return cls(genus, Fraction(0), (Fraction(0),) * (genus // 2 + 1))
 
-    def _require_same_genus(self, other: "DivisorClass") -> None:
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
         if self.genus != other.genus:
             raise ValueError(
                 f"cannot mix genera {self.genus} and {other.genus}"
             )
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        self._require_same_genus(other)
         return DivisorClass(
             self.genus,
             self.lambda_coeff + other.lambda_coeff,
@@ -245,11 +223,13 @@ class DivisorClass:
         return " ".join(parts)
 
 
-class CurveNumbers:
+class CurveNumbers(_Record):
     """Intersection numbers of a 1-cycle with the divisor basis.
 
     Instances are read-only.
     """
+
+    _fields = ("genus", "lambda_pairing", "delta_pairings")
 
     def __init__(
         self,
@@ -265,27 +245,6 @@ class CurveNumbers:
             genus=genus, lambda_pairing=_as_fraction(lambda_pairing),
             delta_pairings=pairings,
         )
-
-    def _key(self) -> tuple:
-        return self.genus, self.lambda_pairing, self.delta_pairings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"CurveNumbers(genus={self.genus!r}, "
-            f"lambda_pairing={self.lambda_pairing!r}, "
-            f"delta_pairings={self.delta_pairings!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
 
 def rational_to_str(q: Rational) -> str:

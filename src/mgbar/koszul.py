@@ -30,6 +30,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from . import _Record
+
 __all__ = [
     "GradedModule",
     "KoszulStrand",
@@ -92,7 +94,7 @@ def _product(pairs, layer) -> dict:
     return {v: c for v, c in out.items() if c}
 
 
-class GradedModule:
+class GradedModule(_Record):
     """Dimension data and multiplication tensors of a graded module.
 
     ``mult[j][l][u][w]`` is the coefficient of the ``w``-th basis
@@ -103,6 +105,8 @@ class GradedModule:
     nonzero ``(w, x)`` per ``(j, l, u)``, with integral ``x`` as ``int``.
     Instances are read-only.
     """
+
+    _fields = ("base_dim", "piece_dims", "mult")
 
     def __init__(self, base_dim: int, piece_dims, mult) -> None:
         if base_dim < 1:
@@ -140,26 +144,6 @@ class GradedModule:
         self.__dict__["_nonzero"] = nonzero
         self._check_commutativity()
 
-    def _key(self) -> tuple:
-        return self.base_dim, self.piece_dims, self.mult
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"GradedModule(base_dim={self.base_dim!r}, "
-            f"piece_dims={self.piece_dims!r}, mult={self.mult!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
-
     @property
     def top_degree(self) -> int:
         return len(self.piece_dims) - 1
@@ -179,11 +163,13 @@ class GradedModule:
                         )
 
 
-class KoszulStrand:
+class KoszulStrand(_Record):
     """``K_{i,j}`` with the kernel and image dimensions it comes from.
 
     Instances are read-only.
     """
+
+    _fields = ("i", "j", "kernel_dim", "image_dim", "k_dim")
 
     def __init__(
         self, i: int, j: int, kernel_dim: int, image_dim: int, k_dim: int
@@ -196,31 +182,13 @@ class KoszulStrand:
             i=i, j=j, kernel_dim=kernel_dim, image_dim=image_dim, k_dim=k_dim
         )
 
-    def _key(self) -> tuple:
-        return self.i, self.j, self.kernel_dim, self.image_dim, self.k_dim
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"KoszulStrand(i={self.i!r}, j={self.j!r}, "
-            f"kernel_dim={self.kernel_dim!r}, image_dim={self.image_dim!r}, "
-            f"k_dim={self.k_dim!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
-
-
-class SparseMatrix:
+class SparseMatrix(_Record):
     """Immutable sparse matrix; ``entries[(row, col)]`` omits zeros and
     holds integral entries as ``int``, the others as ``Fraction``."""
+
+    _fields = ("nrows", "ncols", "entries")
+    __hash__ = None  # unhashable, as the entries dict is
 
     def __init__(self, nrows: int, ncols: int, entries: dict) -> None:
         clean = {}
@@ -231,26 +199,6 @@ class SparseMatrix:
             if v:
                 clean[(r, c)] = v
         self.__dict__.update(nrows=nrows, ncols=ncols, entries=clean)
-
-    def _key(self) -> tuple:
-        return self.nrows, self.ncols, self.entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    # With __eq__ and no __hash__, instances are unhashable, as the
-    # entries dict is.
-
-    def __repr__(self) -> str:
-        return (
-            f"SparseMatrix(nrows={self.nrows!r}, ncols={self.ncols!r}, "
-            f"entries={self.entries!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -645,7 +593,14 @@ def module_from_json(data) -> GradedModule:
         if type(x) is not str:
             return _as_fraction(x)
         if x not in parsed:
-            parsed[x] = Fraction(x)
+            # Fraction("1e999999999") would build 10**999999999.
+            power = x.lower().partition("e")[2].strip().lstrip("+-")
+            if power.replace("_", "").isdigit() and int(power) > 1000:
+                raise ValueError(f"decimal exponent of {x!r} exceeds 1000")
+            try:
+                parsed[x] = Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {x!r}") from None
         return parsed[x]
 
     try:

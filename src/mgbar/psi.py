@@ -65,6 +65,8 @@ from fractions import Fraction
 from itertools import groupby, product
 from typing import Iterable, NamedTuple
 
+from . import _Record
+
 __all__ = [
     "Correlator",
     "ResourceLimitError",
@@ -102,12 +104,14 @@ def _check_dimension(dimension: int) -> None:
         )
 
 
-class Correlator:
+class Correlator(_Record):
     """A descendent correlator ``<tau_{a_1} ... tau_{a_n}>_g``.
 
     Exponents are stored sorted (correlators are symmetric).  The marked
     curve must be stable: ``2g - 2 + n > 0``.  Instances are read-only.
     """
+
+    _fields = ("genus", "exponents")
 
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
         exps = tuple(sorted(int(a) for a in exponents))
@@ -120,23 +124,6 @@ class Correlator:
                 f"unstable correlator: genus {genus} with {len(exps)} insertions"
             )
         self.__dict__.update(genus=genus, exponents=exps)
-
-    def _key(self) -> tuple:
-        return self.genus, self.exponents
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Correlator(genus={self.genus!r}, exponents={self.exponents!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @property
     def dimension(self) -> int:

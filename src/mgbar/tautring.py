@@ -66,6 +66,8 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
+from . import _Record
+
 __all__ = [
     "RingElement",
     "ZERO",
@@ -308,8 +310,8 @@ _GENERATORS = dict(zip(_GEN_NAMES, (ETA, GAMMA, THETA, C1, C2, C3)))
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-z][a-z0-9]*|\^|\*|\+|-)")
 
 # Largest exponent element_from_string accepts.  The genus-22 pipeline
-# stays far below it; the cap bounds the size of a parsed literal such
-# as ``7/3^n`` and of the exponents a parsed monomial carries.
+# stays far below it; the cap bounds the exponents a parsed monomial
+# carries, and ten times the cap the digits of all literal powers.
 MAX_EXPONENT = 1000
 
 
@@ -317,10 +319,11 @@ def element_from_string(text: str) -> RingElement:
     """Parse a ring element from a ``+``/``-``/``*``/``^`` expression.
 
     Accepted factors are the generator names (``eta``, ``gamma``,
-    ``theta``, ``c1``, ``c2``, ``c3``), optionally raised to a
-    nonnegative integer power of at most :data:`MAX_EXPONENT`, and
-    rational literals like ``3`` or ``7/2``.  Parentheses are not
-    supported.
+    ``theta``, ``c1``, ``c2``, ``c3``) and rational literals like ``3``
+    or ``7/2`` with a nonzero denominator, optionally raised to a
+    nonnegative integer power of at most :data:`MAX_EXPONENT`; the
+    literal powers may have at most ``10 * MAX_EXPONENT`` digits in all.
+    Parentheses are not supported.
     """
     tokens: list[str] = []
     pos = 0
@@ -336,6 +339,7 @@ def element_from_string(text: str) -> RingElement:
         raise ValueError("empty expression")
 
     result = ZERO
+    digits = 0  # of all literal powers read so far
     idx = 0
     while idx < len(tokens):
         sign = 1
@@ -369,7 +373,11 @@ def element_from_string(text: str) -> RingElement:
                 extra = 0
             if tok in _GENERATORS:
                 factor = _GENERATORS[tok] ** power
+            elif re.fullmatch(r"\d+/\d+", tok) and not int(tok.split("/")[1]):
+                raise ValueError(f"zero denominator in {tok!r}")
             elif re.fullmatch(r"\d+(/\d+)?", tok):
+                if (digits := digits + len(tok) * power) > 10 * MAX_EXPONENT:
+                    raise ValueError(f"literal powers exceed {10 * MAX_EXPONENT} digits")
                 factor = _scalar_element(Fraction(tok) ** power)
             else:
                 raise ValueError(f"unknown symbol {tok!r}")
@@ -540,7 +548,7 @@ class KernelDegreeError(ValueError):
     """The kernel symbol appeared with degree three or higher."""
 
 
-class KernelPoly:
+class KernelPoly(_Record):
     """Polynomial in the formal first Chern class of a kernel line bundle.
 
     The symbol ``k = c1(kernel)`` is not an element of the ambient ring:
@@ -551,6 +559,8 @@ class KernelPoly:
     Instances are read-only.
     """
 
+    _fields = ("const", "linear", "square")
+
     def __init__(
         self,
         const: RingElement = ZERO,
@@ -558,26 +568,6 @@ class KernelPoly:
         square: RingElement = ZERO,
     ) -> None:
         self.__dict__.update(const=const, linear=linear, square=square)
-
-    def _key(self) -> tuple:
-        return self.const, self.linear, self.square
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"KernelPoly(const={self.const!r}, linear={self.linear!r}, "
-            f"square={self.square!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
     @staticmethod
     def symbol() -> "KernelPoly":
@@ -654,13 +644,15 @@ def _coerce_kernel(x: "KernelPoly | RingElement | Rational") -> KernelPoly:
     return KernelPoly(const=coerced)
 
 
-class ChernData:
+class ChernData(_Record):
     """Rank and first two Chern classes of a bundle.
 
     ``c1``/``c2`` are ambient ring elements or, for bundles whose Chern
     classes involve a kernel symbol, :class:`KernelPoly` values.
     Instances are read-only.
     """
+
+    _fields = ("rank", "c1", "c2")
 
     def __init__(
         self, rank: int, c1: RingElement | KernelPoly, c2: RingElement | KernelPoly
@@ -671,23 +663,6 @@ class ChernData:
             if not cls.is_homogeneous(degree):
                 raise ValueError(f"{name} must be homogeneous of degree {degree}")
         self.__dict__.update(rank=rank, c1=c1, c2=c2)
-
-    def _key(self) -> tuple:
-        return self.rank, self.c1, self.c2
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ChernData(rank={self.rank!r}, c1={self.c1!r}, c2={self.c2!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: read-only")
 
 
 def chern_of_sym2(E: ChernData) -> ChernData:

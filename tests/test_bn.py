@@ -59,6 +59,11 @@ class TestTreeCurve:
         with pytest.raises(ValueError):
             bn.TreeCurve((1, 1, 1), ((0, 1), (1, 2), (2, 0)))
 
+    def test_disconnected_graph_with_tree_edge_count_has_a_cycle(self):
+        # n - 1 edges that miss a component must close a cycle elsewhere.
+        with pytest.raises(ValueError, match="edges contain a cycle"):
+            bn.TreeCurve((1, 1, 1, 1), ((0, 1), (1, 2), (2, 0)))
+
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ValueError):
             bn.TreeCurve((1, 1, 1), ((0, 1),))

@@ -7,7 +7,8 @@ human form and with ``--json``, ``--tolerance`` with and without
 errors (exit 1) and usage errors (exit 2).  The corpus was captured
 from the hand-written CLI before it became table-driven; the entries
 whose input used to be accepted or to crash (float and malformed Koszul
-module JSON, exponents above ``tautring.MAX_EXPONENT``) were added when
+module JSON, exponents above ``tautring.MAX_EXPONENT``, zero
+denominators in module JSON and ``taut`` expressions) were added when
 those inputs started failing closed.
 
 Koszul module files are written under fixed relative names into a
@@ -42,6 +43,7 @@ def write_modules(directory: Path) -> None:
         "float.json": {
             "base_dim": 1, "pieces": [1, 1, 1], "mult": [[[[0.1]]], [[[2]]]],
         },
+        "zero.json": {"base_dim": 1, "pieces": [1, 1], "mult": [[[["1/0"]]]]},
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data), encoding="utf-8")

@@ -473,6 +473,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed module data"):
             K.module_from_json(dict(data, **sizes))
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " -3/000 "])
+    def test_zero_denominators_are_malformed(self, text):
+        data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[[text]]]]}
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json(data)
+
+    @pytest.mark.parametrize("text", [
+        "1e1001", "1e-1001", "1E+1_000_000", " 2.5e-1000000 ",
+    ])
+    def test_huge_decimal_exponents_are_refused(self, text):
+        data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[[text]]]]}
+        start = time.process_time()
+        with pytest.raises(ValueError, match="decimal exponent .* exceeds"):
+            K.module_from_json(data)
+        assert time.process_time() - start < 0.5
+        data["mult"] = [[[["1e1000"]]]]
+        assert K.module_from_json(data).mult[0][0][0][0] == 10**1000
+
     def test_boolean_entries_are_rejected(self):
         data = {"base_dim": 1, "pieces": [1, 1], "mult": [[[[True]]]]}
         with pytest.raises(ValueError, match="malformed module data"):

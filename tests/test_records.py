@@ -1,10 +1,12 @@
 """The public record classes: constructor forms, validation, ``==``,
 ``repr()``, hashing and read-only attributes.
 
+The records are ``NamedTuple``s or subclasses of ``mgbar._Record``, which
+derives ``==``, ``hash()`` and ``repr()`` from the class's ``_fields``.
 Each record is built twice, positionally and by keyword, and once with
 different values.  Frozen records must refuse attribute assignment and
-hash by value (unless a field holds a dict); the Koszul records that
-the benchmark tracer follows must stay weak-referenceable.
+deletion and hash by value (unless a field holds a dict); the Koszul
+records that the benchmark tracer follows must stay weak-referenceable.
 """
 
 import weakref
@@ -183,6 +185,20 @@ def test_frozen_records_are_read_only(name):
     with pytest.raises(AttributeError):
         record.no_such_field = 0
     assert repr(record) == before
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_refuse_attribute_deletion(name):
+    record = RECORDS[name][0]()
+    field = repr(record).split("(", 1)[1].split("=", 1)[0]
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        del record.no_such_field
+    assert repr(record) == before
+    if RECORDS[name][5]:
+        assert hash(record) == hash(RECORDS[name][1]())
 
 
 def test_command_result_fields_read_back():

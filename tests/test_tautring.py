@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,35 @@ class TestNormalForm:
     def test_parser_rejects_unknown_symbols(self):
         with pytest.raises(ValueError):
             element_from_string("theta + psi")
+
+    @pytest.mark.parametrize("text, literal", [
+        ("1/0", "1/0"), ("0/0", "0/0"), ("theta + 3/00", "3/00"),
+        ("1/0^2", "1/0"),
+    ])
+    def test_parser_names_a_zero_denominator(self, text, literal):
+        with pytest.raises(ValueError, match=f"zero denominator in '{literal}'"):
+            element_from_string(text)
+
+    def test_parser_caps_the_digits_of_all_literal_powers(self):
+        cap = 10 * tr.MAX_EXPONENT
+        assert element_from_string("9999999999^1000") == 9999999999**1000
+        assert element_from_string("1/99999999^1000") == Fraction(
+            1, 99999999**1000)
+        assert element_from_string("99999^1000 + 99999^1000*c1") == (
+            99999**1000 * (ONE + C1))
+        for text in (
+            "99999999999^1000", "12345/67890^1000", "9" * (cap + 1),
+            "9" * 4000 + "^1000*" + "9" * 4000 + "^1000",
+            "*".join(["9999999999^1000"] * 200),
+            "99999^1000 + 99999^1000*c1 + 2",
+        ):
+            start = time.process_time()
+            with pytest.raises(ValueError, match=f"exceed {cap} digits"):
+                element_from_string(text)
+            assert time.process_time() - start < 0.5
+
+    def test_parser_reads_a_denominator_with_leading_zeros(self):
+        assert element_from_string("1/01") == ONE
 
     def test_power_agrees_with_repeated_products(self):
         for base in (ONE + GAMMA + THETA - C2 / 2, ETA + 3 * THETA, GAMMA):

@@ -25,6 +25,7 @@ command uses.
 """
 
 import importlib
+from fractions import Fraction
 
 
 class _Record:
@@ -55,6 +56,20 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: read-only")
+
+
+def _rational(text) -> Fraction:
+    """``Fraction(str(text))``, the one parse of rational text: a zero
+    denominator or a decimal exponent above 1000 (``"1e999999999"``
+    would build ``10**999999999``) raises ``ValueError``."""
+    text = str(text)
+    power = text.lower().partition("e")[2].strip().lstrip("+-")
+    if power.replace("_", "").isdigit() and int(power) > 1000:
+        raise ValueError(f"decimal exponent of {text!r} exceeds 1000")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # Eager: deferring them moves their load into the first job (psi_sweep +10%).

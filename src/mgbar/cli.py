@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import mgbar
 
-from . import __version__, koszul, psi
+from . import __version__, _rational, koszul, psi
 
 __all__ = ["COMMANDS", "Command", "CommandResult", "run", "main"]
 
@@ -132,7 +132,7 @@ def _custom_class(args) -> mgbar.divclass.DivisorClass:
     if args.coeffs is None:
         raise ValueError("--class custom needs --coeffs a,b0,b1,...")
     g = _require(args, "g")
-    parts = [Fraction(x) for x in args.coeffs.split(",")]
+    parts = [_rational(x) for x in args.coeffs.split(",")]
     if len(parts) != g // 2 + 2:
         raise ValueError(
             f"genus {g} needs {g // 2 + 2} coefficients "
@@ -372,8 +372,14 @@ class _Tolerance(_Store):
 
     def __call__(self, parser, namespace, values, option_string=None):
         super().__call__(parser, namespace, values, option_string)
+        try:
+            values = _rational(values)
+        except ValueError:
+            raise argparse.ArgumentError(
+                self, f"invalid Fraction value: {values!r}") from None
         if values <= 0:
             raise argparse.ArgumentError(self, f"must be positive, got {values}")
+        setattr(namespace, self.dest, values)
 
 
 class _Reroute(Exception):
@@ -412,7 +418,7 @@ def _build_parser(only: Command | None = None) -> argparse.ArgumentParser:
         help="emit the full machine-readable record",
     )
     common.add_argument(
-        "--tolerance", action=_Tolerance, type=Fraction,
+        "--tolerance", action=_Tolerance,
         default=argparse.SUPPRESS,
         help="also render scalar results as decimals to this accuracy "
         "(display only; all computation stays exact)",

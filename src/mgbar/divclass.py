@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import _Record
+from . import _Record, _rational as rational_from_str
 
 __all__ = [
     "DivisorClass",
@@ -101,7 +101,7 @@ def _boundary_count(g: int) -> int:
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -252,10 +252,6 @@ def rational_to_str(q: Rational) -> str:
     return str(Fraction(q))
 
 
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(str(text))
-
-
 # ---------------------------------------------------------------------
 # Canonical and tautological classes
 # ---------------------------------------------------------------------
@@ -404,6 +400,17 @@ def pair(c: CurveNumbers, D: DivisorClass) -> Fraction:
 # ---------------------------------------------------------------------
 
 
+def _lower_bound_tail(
+    g: int, a: Rational, b0: Rational, b1: Rational
+) -> DivisorClass:
+    """``a*lambda - b0*delta_0 - b1*delta_1 - b0*delta_j`` for ``j >= 2``,
+    the coefficients past ``delta_1`` stored as lower bounds."""
+    size = _boundary_count(g)
+    coeffs = [-b0] * size
+    coeffs[1] = -b1
+    return DivisorClass(g, a, tuple(coeffs), frozenset(range(2, size)))
+
+
 def koszul_odd_class(i: int) -> DivisorClass:
     """Syzygy divisor class in odd genus ``g = 2i + 3``.
 
@@ -421,7 +428,7 @@ def koszul_odd_class(i: int) -> DivisorClass:
     if i < 0:
         raise ValueError("i must be nonnegative")
     g = 2 * i + 3
-    size = _boundary_count(g)
+    _boundary_count(g)  # the genus guard, ahead of the binomials
     rhs = (i + 1) * math.comb(2 * i + 2, i)
     b1 = Fraction(6 * rhs, 2 * g - 4)
     b0 = (rhs + b1) / (2 * g - 2)
@@ -438,15 +445,7 @@ def koszul_odd_class(i: int) -> DivisorClass:
             f"test-curve system {(a, b0, b1)} disagrees with closed form "
             f"{closed} at i={i}"
         )
-
-    coeffs = [-b0] * size
-    coeffs[1] = -b1
-    return DivisorClass(
-        g,
-        a,
-        tuple(coeffs),
-        frozenset(range(2, size)),
-    )
+    return _lower_bound_tail(g, a, b0, b1)
 
 
 def koszul_even_slope(i: int) -> Fraction:
@@ -487,16 +486,7 @@ def d22_class() -> DivisorClass:
     """
     from . import tautring
 
-    a, b0, b1 = tautring.solve_d22()
-    size = 22 // 2 + 1
-    coeffs = [Fraction(-b0)] * size
-    coeffs[1] = Fraction(-b1)
-    return DivisorClass(
-        22,
-        Fraction(a),
-        tuple(coeffs),
-        frozenset(range(2, size)),
-    )
+    return _lower_bound_tail(22, *tautring.solve_d22())
 
 
 def general_type_witness(D: DivisorClass) -> bool:

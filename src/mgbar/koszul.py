@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import _Record
+from . import _Record, _rational
 
 __all__ = [
     "GradedModule",
@@ -63,7 +63,9 @@ MAX_MATRIX_SIDE = 10_000
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, str):
+        return _rational(x)
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -593,14 +595,7 @@ def module_from_json(data) -> GradedModule:
         if type(x) is not str:
             return _as_fraction(x)
         if x not in parsed:
-            # Fraction("1e999999999") would build 10**999999999.
-            power = x.lower().partition("e")[2].strip().lstrip("+-")
-            if power.replace("_", "").isdigit() and int(power) > 1000:
-                raise ValueError(f"decimal exponent of {x!r} exceeds 1000")
-            try:
-                parsed[x] = Fraction(x)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {x!r}") from None
+            parsed[x] = _rational(x)
         return parsed[x]
 
     try:

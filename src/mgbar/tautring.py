@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from . import _Record
+from . import _Record, _rational
 
 __all__ = [
     "RingElement",
@@ -373,12 +373,10 @@ def element_from_string(text: str) -> RingElement:
                 extra = 0
             if tok in _GENERATORS:
                 factor = _GENERATORS[tok] ** power
-            elif re.fullmatch(r"\d+/\d+", tok) and not int(tok.split("/")[1]):
-                raise ValueError(f"zero denominator in {tok!r}")
             elif re.fullmatch(r"\d+(/\d+)?", tok):
                 if (digits := digits + len(tok) * power) > 10 * MAX_EXPONENT:
                     raise ValueError(f"literal powers exceed {10 * MAX_EXPONENT} digits")
-                factor = _scalar_element(Fraction(tok) ** power)
+                factor = _scalar_element(_rational(tok) ** power)
             else:
                 raise ValueError(f"unknown symbol {tok!r}")
             term = term * factor

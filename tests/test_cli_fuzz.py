@@ -1,7 +1,8 @@
 """Random ``mgbar`` argv fails closed, and routing changes no output.
 
 Every argv drawn here -- real and bogus group and subcommand names,
-flags of every command with huge, negative, fractional and junk values,
+flags of every command with huge, negative, fractional and junk values
+(zero denominators and huge decimal exponents among them),
 ``key=value`` tokens, top-level flags and tokens in any order -- must
 end with exit code 0, 1 or 2 and no uncaught exception, within a CPU
 budget that stops a runaway case.  Each argv is also run with the full
@@ -42,7 +43,8 @@ values = st.one_of(
         "0", "-1", "1/2", "-3/4", "0.5", "1e9", "10" * 30, "x", "", " ",
         "2,3", "0,0,0", "1,-1", "1000000000,0,0", ",", "nan", "inf",
         "theta", "eta^2*c1", "theta^999", "(", "module.json",
-        "no-such-file.json", "--", "-h",
+        "no-such-file.json", "--", "-h", "1e999999999", "1e-999999999",
+        "1/0", "1e999999999,1,1",
     ]),
     st.sampled_from(CHOICES),
 )
@@ -105,6 +107,10 @@ def run(argv: list[str]) -> tuple:
 @example(["divclass", "canonical", "--g", "100000000"])
 @example(["divclass", "koszul-odd", "--i", "100000000"])
 @example(["bn", "limit-check", "--g", "100000000"])
+# A decimal exponent would make Fraction build 10**999999999.
+@example(["divclass", "slope", "--class", "custom", "--g", "2",
+          "--coeffs", "1e999999999,1,1"])
+@example(["--tolerance", "1e-999999999", "bn", "rho", "22", "1", "11"])
 def test_random_argv_fails_closed_and_routes_like_the_full_tree(
         cpu_budget, argv):
     start = time.process_time()
@@ -113,5 +119,7 @@ def test_random_argv_fails_closed_and_routes_like_the_full_tree(
     assert time.process_time() - start < BUDGET_S, argv
     assert result[0] in (0, 1, 2), (argv, result)
     assert "Traceback" not in result[2], (argv, result)
+    # A message names a rational as p/q, never as the repr of an exception.
+    assert "Fraction(" not in result[2], (argv, result)
     with mock.patch.object(cli, "_route", lambda argv: None):
         assert run(argv) == result, argv

@@ -8,8 +8,11 @@ errors (exit 1) and usage errors (exit 2).  The corpus was captured
 from the hand-written CLI before it became table-driven; the entries
 whose input used to be accepted or to crash (float and malformed Koszul
 module JSON, exponents above ``tautring.MAX_EXPONENT``, zero
-denominators in module JSON and ``taut`` expressions) were added when
-those inputs started failing closed.
+denominators in module JSON and ``taut`` expressions, and zero
+denominators and huge decimal exponents in ``--coeffs`` (exit 1) and
+``--tolerance`` (exit 2)) were added when those inputs started failing
+closed.  ``--tolerance abc`` was captured before that change and pins
+the message of a malformed tolerance.
 
 Koszul module files are written under fixed relative names into a
 scratch working directory, because ``inputs.input`` echoes the path.

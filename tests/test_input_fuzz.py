@@ -1,11 +1,15 @@
-"""Random ``taut`` expressions and Koszul module JSON fail closed.
+"""Random ``taut`` expressions, Koszul module JSON and divisor-class
+JSON fail closed.
 
 Every string drawn from the expression grammar's symbols (generator
 names, literals, ``^ * + - /``, parentheses and junk) must parse to a
 ring element or raise ``ValueError``, and so must every JSON-shaped tree
 handed to :func:`mgbar.koszul.module_from_json`: well-formed modules,
 modules with one bad size or entry (floats, booleans, ``"1/0"``,
-decimal exponents, ``None``, nested containers) and arbitrary trees.
+decimal exponents, ``None``, nested containers) and arbitrary trees,
+and every divisor-class record handed to
+:meth:`mgbar.divclass.DivisorClass.from_json_dict` with coefficients
+drawn from the same rational strings.
 Nothing else may escape, and each case must finish within a CPU budget
 that stops a runaway case.
 """
@@ -15,7 +19,7 @@ import time
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mgbar import koszul, tautring
+from mgbar import divclass, koszul, tautring
 
 # Per-case CPU budget, far above any honest input here.
 BUDGET_S = 2.0
@@ -129,4 +133,37 @@ def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
         pass
     else:
         assert isinstance(module, koszul.GradedModule), data
+    assert time.process_time() - start < BUDGET_S, data
+
+
+# -- divisor-class JSON --------------------------------------------------
+
+@st.composite
+def divisor_data(draw):
+    """A divisor-class record of genus 2..7 whose coefficients are mostly
+    rational strings, with one delta coefficient too many or too few at
+    times."""
+    genus = draw(st.integers(2, 7))
+    size = genus // 2 + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    coeff = st.one_of(strings, strings, leaves)
+    data = {"genus": genus, "lambda": draw(coeff),
+            "delta": draw(st.lists(coeff, min_size=size, max_size=size))}
+    if draw(st.booleans()):
+        data["delta_lower_bounds"] = draw(st.lists(st.integers(0, 4), max_size=3))
+    return data
+
+
+@FUZZ
+@given(divisor_data())
+@example({"genus": 2, "lambda": "1/0", "delta": ["1", "1"]})
+@example({"genus": 2, "lambda": "1", "delta": ["1e10000000", "1"]})
+def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
+    start = time.process_time()
+    try:
+        with cpu_budget(BUDGET_S):
+            cls = divclass.DivisorClass.from_json_dict(data)
+    except ValueError:
+        pass
+    else:
+        assert isinstance(cls, divclass.DivisorClass), data
     assert time.process_time() - start < BUDGET_S, data

@@ -307,6 +307,15 @@ def test_fields_are_normalised():
      "genus 2 needs 2 delta pairings"),
     (lambda: divclass.CurveNumbers(2, 0.5, (0, 0)), TypeError,
      "expected an exact rational, got float"),
+    # bool is an int subclass, but True is no coefficient.
+    (lambda: divclass.DivisorClass(2, True, (1, 0)), TypeError,
+     "expected an exact rational, got bool"),
+    (lambda: divclass.DivisorClass(2, 1, (1, False)), TypeError,
+     "expected an exact rational, got bool"),
+    (lambda: divclass.CurveNumbers(2, True, (1, 1)), TypeError,
+     "expected an exact rational, got bool"),
+    (lambda: divclass.CurveNumbers(2, 1, (False, 1)), TypeError,
+     "expected an exact rational, got bool"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:

@@ -72,6 +72,16 @@ def _rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _fraction(value) -> Fraction:
+    """An exact rational that is already a number: a ``Fraction`` or an
+    ``int`` that is no ``bool``; anything else raises ``TypeError``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
 # Eager: deferring them moves their load into the first job (psi_sweep +10%).
 from . import koszul, psi
 

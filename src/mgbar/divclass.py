@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import _Record, _rational as rational_from_str
+from . import _Record, _fraction, _rational as rational_from_str
 
 __all__ = [
     "DivisorClass",
@@ -98,14 +98,6 @@ def _boundary_count(g: int) -> int:
     return g // 2 + 1
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 class DivisorClass(_Record):
     """A divisor class on the genus-``g`` moduli space.
 
@@ -127,13 +119,13 @@ class DivisorClass(_Record):
         if genus < 2:
             raise ValueError("genus must be at least 2")
         expected = _boundary_count(genus)
-        coeffs = tuple(_as_fraction(c) for c in delta_coeffs)
+        coeffs = tuple(_fraction(c) for c in delta_coeffs)
         if len(coeffs) != expected:
             raise ValueError(
                 f"genus {genus} needs {expected} delta coefficients, "
                 f"got {len(coeffs)}"
             )
-        lambda_coeff = _as_fraction(lambda_coeff)
+        lambda_coeff = _fraction(lambda_coeff)
         flags = frozenset(lower_bound_deltas)
         if any(j not in range(expected) for j in flags):
             raise ValueError("lower-bound flag outside delta index range")
@@ -205,12 +197,15 @@ class DivisorClass(_Record):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
-        return cls(
-            int(data["genus"]),
-            rational_from_str(data["lambda"]),
-            tuple(rational_from_str(c) for c in data["delta"]),
-            frozenset(data.get("delta_lower_bounds", ())),
-        )
+        """Inverse of :meth:`to_json_dict`; other JSON types raise ``ValueError``."""
+        genus, flags = data["genus"], tuple(data.get("delta_lower_bounds", ()))
+        coeffs = (data["lambda"], *data["delta"])
+        if any(type(x) is not int for x in (genus, *flags)) or any(
+                type(c) not in (int, str) for c in coeffs):
+            raise ValueError("genus and flags must be JSON integers, "
+                             "coefficients rational text or JSON integers")
+        lambda_coeff, *delta = map(rational_from_str, coeffs)
+        return cls(genus, lambda_coeff, delta, flags)
 
     def __str__(self) -> str:
         parts = [f"{self.lambda_coeff}*lambda"]
@@ -238,11 +233,11 @@ class CurveNumbers(_Record):
         delta_pairings: Iterable[Rational],
     ) -> None:
         expected = _boundary_count(genus)
-        pairings = tuple(_as_fraction(c) for c in delta_pairings)
+        pairings = tuple(_fraction(c) for c in delta_pairings)
         if len(pairings) != expected:
             raise ValueError(f"genus {genus} needs {expected} delta pairings")
         self.__dict__.update(
-            genus=genus, lambda_pairing=_as_fraction(lambda_pairing),
+            genus=genus, lambda_pairing=_fraction(lambda_pairing),
             delta_pairings=pairings,
         )
 

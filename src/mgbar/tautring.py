@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from . import _Record, _rational
+from . import _Record, _fraction, _rational
 
 __all__ = [
     "RingElement",
@@ -121,8 +121,8 @@ class RingElement:
 
     Immutable; supports ``+``, ``-``, ``*`` (ring and scalar), ``/`` by a
     scalar, and ``==``.  The constructor accepts any mapping or iterable
-    of ``(key, coefficient)`` pairs and normalizes it, so it doubles as
-    the ``reduce`` operation.
+    of ``(key, coefficient)`` pairs and normalizes it; it is the one
+    ``reduce`` operation, and sums and products hand it raw terms.
     """
 
     __slots__ = ("_terms",)
@@ -136,7 +136,7 @@ class RingElement:
         for key, coeff in items:
             if len(key) != 6 or any(e < 0 for e in key):
                 raise ValueError(f"bad monomial key {key!r}")
-            reduced = _reduce_term(tuple(key), Fraction(coeff))
+            reduced = _reduce_term(tuple(key), _fraction(coeff))
             if reduced is None:
                 continue
             rkey, rcoeff = reduced
@@ -146,10 +146,6 @@ class RingElement:
         )
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Key, Fraction]:
-        return dict(self._terms)
 
     def coefficient(self, key: Key) -> Fraction:
         reduced = _reduce_term(tuple(key), Fraction(1))
@@ -189,10 +185,7 @@ class RingElement:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return RingElement(acc)
+        return RingElement([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -215,16 +208,11 @@ class RingElement:
             )
         if not isinstance(other, RingElement):
             return NotImplemented
-        acc: dict[Key, Fraction] = {}
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
-                raw = tuple(ea + eb for ea, eb in zip(ka, kb))
-                reduced = _reduce_term(raw, va * vb)
-                if reduced is None:
-                    continue
-                rkey, rcoeff = reduced
-                acc[rkey] = acc.get(rkey, Fraction(0)) + rcoeff
-        return RingElement(acc)
+        return RingElement(
+            (tuple(ea + eb for ea, eb in zip(ka, kb)), va * vb)
+            for ka, va in self._terms.items()
+            for kb, vb in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -499,9 +487,7 @@ def _root_expansion(a: int, b: int, c: int) -> tuple[tuple[tuple[int, int, int],
     return tuple(sorted(counts.items()))
 
 
-def integrate_over_W(
-    p: RingElement, table: PushforwardTable | None = None
-) -> Fraction:
+def integrate_over_W(p: RingElement) -> Fraction:
     """Integrate a polynomial in ``theta, c1, c2, c3`` over the locus.
 
     Every monomial must have complex degree at least 3 (the locus is a
@@ -511,8 +497,7 @@ def integrate_over_W(
     roots, looked up in the table, and the sum is capped with
     ``\\int_{Pic^21} theta^21 = 21!``.
     """
-    if table is None:
-        table = load_table()
+    table = load_table()
     total = Fraction(0)
     for (eta, gamma, theta, a, b, c), coeff in p._terms.items():
         if eta or gamma:
@@ -557,6 +542,7 @@ class KernelPoly(_Record):
     Instances are read-only.
     """
 
+    # Slot i holds the coefficient of k^i, in _fields order.
     _fields = ("const", "linear", "square")
 
     def __init__(
@@ -579,16 +565,12 @@ class KernelPoly(_Record):
         other = _coerce_kernel(other)
         if other is NotImplemented:
             return NotImplemented
-        return KernelPoly(
-            self.const + other.const,
-            self.linear + other.linear,
-            self.square + other.square,
-        )
+        return KernelPoly(*(x + y for x, y in zip(self._key(), other._key())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "KernelPoly":
-        return KernelPoly(-self.const, -self.linear, -self.square)
+        return KernelPoly(*(-x for x in self._key()))
 
     def __sub__(self, other: "KernelPoly | RingElement | Rational") -> "KernelPoly":
         other = _coerce_kernel(other)
@@ -600,36 +582,26 @@ class KernelPoly(_Record):
         return _coerce_kernel(other) - self
 
     def __mul__(self, other: "KernelPoly | RingElement | Rational") -> "KernelPoly":
-        if isinstance(other, (int, Fraction)):
-            return KernelPoly(
-                self.const * other, self.linear * other, self.square * other
-            )
         other = _coerce_kernel(other)
         if other is NotImplemented:
             return NotImplemented
-        cubic = self.linear * other.square + self.square * other.linear
-        quartic = self.square * other.square
-        if cubic or quartic:
+        product = [ZERO] * 5
+        for i, x in enumerate(self._key()):
+            for j, y in enumerate(other._key()):
+                product[i + j] += x * y
+        if any(product[3:]):
             raise KernelDegreeError(
                 "kernel symbol would appear with degree >= 3; only its "
                 "pairing and its square are defined"
             )
-        return KernelPoly(
-            self.const * other.const,
-            self.const * other.linear + self.linear * other.const,
-            self.const * other.square
-            + self.linear * other.linear
-            + self.square * other.const,
-        )
+        return KernelPoly(*product[:3])
 
     __rmul__ = __mul__
 
     def is_homogeneous(self, degree: int) -> bool:
         """Homogeneity with the kernel symbol counted as degree one."""
-        return (
-            self.const.is_homogeneous(degree)
-            and self.linear.is_homogeneous(degree - 1)
-            and self.square.is_homogeneous(degree - 2)
+        return all(
+            slot.is_homogeneous(degree - i) for i, slot in enumerate(self._key())
         )
 
 

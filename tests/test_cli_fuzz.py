@@ -48,6 +48,20 @@ values = st.one_of(
     ]),
     st.sampled_from(CHOICES),
 )
+# Rational text for the two flags that parse it, --tolerance and --coeffs
+# (read only under --class custom), drawn far more often than other values
+# so the random part reaches the rational parser with a huge exponent or a
+# zero denominator.
+rationals = st.one_of(
+    st.sampled_from(["1/2", "-3/4", "0.5", "7", "1e9", "1e-9", "x", "",
+                     "1/0", "1e999999999", "1e-999999999"]),
+    st.integers(-9, 9).map(str),
+)
+RATIONAL_VALUES = {
+    "--coeffs": st.lists(rationals, min_size=1, max_size=4).map(",".join),
+    "--class": st.just("custom"),
+}
+tolerances = st.tuples(st.just("--tolerance"), rationals).map(list)
 flag_pairs = st.tuples(st.sampled_from(FLAGS), values).map(list)
 key_values = st.tuples(st.sampled_from(FLAGS), values).map(
     lambda pair: [f"{pair[0][2:]}={pair[1]}"]
@@ -65,14 +79,16 @@ def argvs(draw) -> list[str]:
     """Top-level flags, a route, then flags in any order: mostly one
     command's own flags (each present or not, as ``--flag value`` or
     ``flag=value``), sometimes any flag of any command."""
-    head = draw(st.lists(st.one_of(flag_pairs, st.just(["--json"])), max_size=2))
+    head = draw(st.lists(st.one_of(flag_pairs, tolerances, st.just(["--json"])),
+                         max_size=2))
     command = draw(st.sampled_from(cli.COMMANDS))
     if draw(st.integers(0, 3)):
         route = command.name.split()
         tail = []
         for flag, _ in command.flags:
             if draw(st.integers(0, 5)):
-                value = draw(values)
+                value = draw(values if flag not in RATIONAL_VALUES
+                             else RATIONAL_VALUES[flag] | values)
                 if not flag.startswith("--"):
                     tail.append([value])
                 elif draw(st.booleans()):

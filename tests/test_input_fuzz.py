@@ -16,6 +16,7 @@ that stops a runaway case.
 
 import json
 import time
+from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -138,18 +139,27 @@ def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
 
 # -- divisor-class JSON --------------------------------------------------
 
+# JSON values that are no integer but that int() or repr() would read.
+NON_INTEGERS = [4.9, 4.0, 2.5, True, False, "4", "2", None, 1e300]
+
+
 @st.composite
 def divisor_data(draw):
     """A divisor-class record of genus 2..7 whose coefficients are mostly
     rational strings, with one delta coefficient too many or too few at
-    times."""
+    times, and now and then a genus, flag or coefficient that is a JSON
+    float, a boolean or integer text."""
     genus = draw(st.integers(2, 7))
     size = genus // 2 + 1 + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    coeff = st.one_of(strings, strings, leaves)
+    if not draw(st.integers(0, 4)):
+        genus = draw(st.sampled_from(NON_INTEGERS))
+    coeff = st.one_of(strings, strings, leaves, st.sampled_from([0.1, 1e300]))
     data = {"genus": genus, "lambda": draw(coeff),
             "delta": draw(st.lists(coeff, min_size=size, max_size=size))}
     if draw(st.booleans()):
-        data["delta_lower_bounds"] = draw(st.lists(st.integers(0, 4), max_size=3))
+        flag = st.one_of(st.integers(0, 4), st.integers(0, 4),
+                         st.sampled_from(NON_INTEGERS))
+        data["delta_lower_bounds"] = draw(st.lists(flag, max_size=3))
     return data
 
 
@@ -157,6 +167,11 @@ def divisor_data(draw):
 @given(divisor_data())
 @example({"genus": 2, "lambda": "1/0", "delta": ["1", "1"]})
 @example({"genus": 2, "lambda": "1", "delta": ["1e10000000", "1"]})
+# No genus 4, flag 1 or coefficient 1/10 may be read from these.
+@example({"genus": 4.9, "lambda": "1", "delta": ["1", "1", "1"]})
+@example({"genus": 2, "lambda": "1", "delta": ["1", "1"],
+          "delta_lower_bounds": [True]})
+@example({"genus": 2, "lambda": 0.1, "delta": ["1", "1"]})
 def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:
@@ -166,4 +181,8 @@ def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
         pass
     else:
         assert isinstance(cls, divclass.DivisorClass), data
+        # Only JSON integers and rational text are read, each as written.
+        assert cls.genus == data["genus"], data
+        assert all(type(j) is int for j in cls.lower_bound_deltas), data
+        assert cls.lambda_coeff == Fraction(data["lambda"]), data
     assert time.process_time() - start < BUDGET_S, data

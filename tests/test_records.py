@@ -316,6 +316,13 @@ def test_fields_are_normalised():
      "expected an exact rational, got bool"),
     (lambda: divclass.CurveNumbers(2, 1, (False, 1)), TypeError,
      "expected an exact rational, got bool"),
+    # Ring coefficients pass the same check: no float, bool or text.
+    (lambda: T.RingElement({(0, 0, 1, 0, 0, 0): 0.5}), TypeError,
+     "expected an exact rational, got float"),
+    (lambda: T.RingElement({(0, 0, 1, 0, 0, 0): True}), TypeError,
+     "expected an exact rational, got bool"),
+    (lambda: T.RingElement([((0, 0, 1, 0, 0, 0), "1/0")]), TypeError,
+     "expected an exact rational, got str"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:

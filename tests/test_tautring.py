@@ -315,6 +315,9 @@ class TestIntegrateOverW:
         # The table is for Pic^21; another cap would silently be wrong.
         with pytest.raises(TypeError):
             tr.integrate_over_W(THETA**3, picard_genus=20)
+        # A table for another locus would be capped with 21! as well.
+        with pytest.raises(TypeError):
+            tr.integrate_over_W(THETA**3, table=tr.load_table())
         assert tr.integrate_over_W(THETA**3) == 698377680
 
 
@@ -326,11 +329,28 @@ class TestKernelPoly:
         k = KernelPoly.symbol()
         with pytest.raises(KernelDegreeError):
             k * k * k
+        with pytest.raises(KernelDegreeError, match="degree >= 3"):
+            k * (k * k)
 
     def test_homogeneity_counts_the_symbol(self):
         k = KernelPoly.symbol()
         expr = k * THETA + KernelPoly.ambient(THETA**2)
         assert expr.is_homogeneous(2)
+        assert not expr.is_homogeneous(1)
+        assert not (k * k + THETA).is_homogeneous(2)
+
+    def test_scalar_products_from_either_side(self):
+        k = KernelPoly.symbol()
+        half = Fraction(1, 2) * ONE
+        assert Fraction(1, 2) * k == KernelPoly(linear=half)
+        assert k * Fraction(1, 2) == KernelPoly(linear=half)
+        assert 3 * (k + THETA) == KernelPoly(3 * THETA, 3 * ONE)
+
+    def test_subtraction_and_negation(self):
+        k = KernelPoly.symbol()
+        assert THETA - k == KernelPoly(THETA, -ONE)
+        assert -(k * k) == KernelPoly(square=-ONE)
+        assert (k - k) * (k * k) == KernelPoly()
 
     def test_mixed_arithmetic(self):
         k = KernelPoly.symbol()

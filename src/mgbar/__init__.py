@@ -58,6 +58,10 @@ class _Record:
         raise AttributeError(f"cannot delete {name!r}: read-only")
 
 
+class ResourceLimitError(RuntimeError):
+    """Input exceeds a work or size guard (psi memo, Koszul elimination)."""
+
+
 def _rational(text) -> Fraction:
     """``Fraction(str(text))``, the one parse of rational text: a zero
     denominator or a decimal exponent above 1000 (``"1e999999999"``

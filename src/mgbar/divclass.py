@@ -198,13 +198,14 @@ class DivisorClass(_Record):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         """Inverse of :meth:`to_json_dict`; other JSON types raise ``ValueError``."""
-        genus, flags = data["genus"], tuple(data.get("delta_lower_bounds", ()))
-        coeffs = (data["lambda"], *data["delta"])
-        if any(type(x) is not int for x in (genus, *flags)) or any(
-                type(c) not in (int, str) for c in coeffs):
-            raise ValueError("genus and flags must be JSON integers, "
-                             "coefficients rational text or JSON integers")
-        lambda_coeff, *delta = map(rational_from_str, coeffs)
+        genus, delta = data["genus"], data["delta"]
+        flags = data.get("delta_lower_bounds", [])
+        if type(delta) is not list or type(flags) is not list or any(
+                type(x) is not int for x in (genus, *flags)) or any(
+                type(c) not in (int, str) for c in (data["lambda"], *delta)):
+            raise ValueError("need JSON lists of delta and flags, integer "
+                             "genus and flags, rational text coefficients")
+        lambda_coeff, *delta = map(rational_from_str, (data["lambda"], *delta))
         return cls(genus, lambda_coeff, delta, flags)
 
     def __str__(self) -> str:

@@ -10,11 +10,11 @@ that data we build the Koszul differentials
         = sum_l (-1)^l  f_{s_0} ^ ... f-hat_{s_l} ... (x) (u f_{s_l}),
 
 and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
-by exact rank computations: each differential is split into the
-connected blocks of its rows and columns, and each block is ranked by
-one column-indexed sparse elimination, over the integers or, in the
-optional prime-field mode, over F_p (ranks then become high-probability
-lower bounds).  A Betti table builds and ranks each differential once.
+by exact rank computations.  A Betti table builds each differential
+once and ranks it by one column-indexed sparse elimination, over the
+integers or, in the optional prime-field mode, over F_p (ranks then
+become high-probability lower bounds); an elimination past
+``MAX_ELIMINATION_WORK`` updates raises :class:`mgbar.ResourceLimitError`.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -30,7 +30,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import _Record, _rational
+from . import ResourceLimitError, _Record, _rational
 
 __all__ = [
     "GradedModule",
@@ -48,6 +48,7 @@ __all__ = [
     "module_to_json",
     "DEFAULT_PRIME",
     "MAX_MATRIX_SIDE",
+    "MAX_ELIMINATION_WORK",
 ]
 
 DEFAULT_PRIME = 2**31 - 1
@@ -58,6 +59,11 @@ DEFAULT_PRIME = 2**31 - 1
 # eleven; a module JSON that asks for comb(40, 20)-column matrices is
 # refused before any matrix is built.
 MAX_MATRIX_SIDE = 10_000
+
+# Most row updates of one elimination, counted per pivot as rows times
+# pivot-row entries: 133 times the largest test or benchmark job (15 049);
+# a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a Xeon).
+MAX_ELIMINATION_WORK = 2_000_000
 
 
 def _as_fraction(x) -> Fraction:
@@ -206,17 +212,19 @@ class SparseMatrix(_Record):
         return not self.entries
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Matrix product ``self @ other``."""
+        """Matrix product ``self @ other``, one column of it at a time;
+        only the nonzero sums reach the validating constructor."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in composition")
-        by_col: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        acc: dict[tuple[int, int], int | Fraction] = {}
+        left: list[list] = [[] for _ in range(self.ncols)]
+        for (r, mid), v in self.entries.items():
+            left[mid].append((r, v))
+        right: dict[int, list] = {}
         for (mid, c), v in other.entries.items():
-            for r, w in by_col.get(mid, ()):
-                acc[r, c] = acc.get((r, c), 0) + w * v
-        return SparseMatrix(self.nrows, other.ncols, acc)
+            right.setdefault(c, []).append((mid, v))
+        entries = {(r, c): x for c, pairs in right.items()
+                   for r, x in _product(pairs, left).items()}
+        return SparseMatrix(self.nrows, other.ncols, entries)
 
 
 def _check_cell(module: GradedModule, i: int, j: int) -> tuple[int, int]:
@@ -250,14 +258,12 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
     nrows, ncols = _check_cell(module, i, j)
     n = module.base_dim
     dim_j, dim_j1 = module.piece_dims[j], module.piece_dims[j + 1]
-    if i == 0:
-        return SparseMatrix(nrows, ncols, {})
-    target_index = {
-        comb: pos
-        for pos, comb in enumerate(itertools.combinations(range(n), i - 1))
-    }
+    # At i = 0 no wedge factor is dropped: no rows, no entries.
+    targets = itertools.combinations(range(n), max(i - 1, 0))
+    target_index = {comb: pos for pos, comb in enumerate(targets)}
     # Each (row, column) is reached once: dropping different wedge
-    # factors of a column lands in different row blocks.
+    # factors of a column lands in different row blocks.  The values of
+    # ``module._nonzero`` are nonzero and exact, so no check runs again.
     entries: dict[tuple[int, int], int | Fraction] = {}
     for s_pos, s in enumerate(itertools.combinations(range(n), i)):
         col_base = s_pos * dim_j
@@ -267,7 +273,9 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
             for u, pairs in enumerate(module._nonzero[j][l]):
                 for w, x in pairs:
                     entries[(row_base + w, col_base + u)] = -x if odd else x
-    return SparseMatrix(nrows, ncols, entries)
+    matrix = SparseMatrix.__new__(SparseMatrix)
+    matrix.__dict__.update(nrows=nrows, ncols=ncols, entries=entries)
+    return matrix
 
 
 # ---------------------------------------------------------------------
@@ -276,7 +284,8 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
 
 
 def _rank_rows(rows: list[dict[int, int]], p: int | None = None) -> int:
-    """Rank of integer sparse rows, exact or over F_p when ``p`` is given.
+    """Rank of integer sparse rows (consumed), exact or over F_p if ``p``;
+    past ``MAX_ELIMINATION_WORK`` updates it raises ``ResourceLimitError``.
 
     ``cols`` maps each column to the ids of the rows that meet it, so a
     pivot touches only those rows.  The pivot column has the fewest rows
@@ -287,14 +296,14 @@ def _rank_rows(rows: list[dict[int, int]], p: int | None = None) -> int:
     """
     if p:
         rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    work = {k: dict(row) for k, row in enumerate(rows) if row}
+    work = {k: row for k, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}
     for k, row in work.items():
         for c in row:
             cols.setdefault(c, set()).add(k)
     heap = [(len(ks), c) for c, ks in cols.items()]
     heapq.heapify(heap)
-    rank = 0
+    rank = updates = 0
     while heap:
         count, pcol = heapq.heappop(heap)
         if len(cols.get(pcol, ())) != count:
@@ -304,6 +313,9 @@ def _rank_rows(rows: list[dict[int, int]], p: int | None = None) -> int:
         ks.remove(piv)
         prow = work.pop(piv)
         pval = prow.pop(pcol)
+        if (updates := updates + len(ks) * len(prow)) > MAX_ELIMINATION_WORK:
+            raise ResourceLimitError(f"rank elimination needs more than "
+                                     f"{MAX_ELIMINATION_WORK} row updates")
         if p:
             inv = pow(pval, -1, p)
             prow, pval = {c: v * inv % p for c, v in prow.items()}, 1
@@ -360,8 +372,8 @@ def _is_probable_prime(n: int) -> bool:
 
 def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
     """Exact rank, or rank over F_modulus (a lower bound on the exact
-    rank, sharp for all but finitely many primes): the sum of the ranks
-    of the blocks of rows that are connected through shared columns."""
+    rank, sharp for all but finitely many primes), by one elimination
+    of the primitive integer rows of ``matrix``."""
     if modulus is not None:
         if modulus <= 2**30:
             raise ValueError("prime-field modulus must exceed 2**30")
@@ -377,21 +389,7 @@ def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
             row = {c: int(v * scale) for c, v in row.items()}
         g = math.gcd(*row.values())
         rows.append({c: v // g for c, v in row.items()} if g > 1 else row)
-    parent: dict[int, int] = {}
-
-    def find(c: int) -> int:
-        while parent.setdefault(c, c) != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    for row in rows:
-        first, *rest = row
-        for c in rest:
-            parent[find(c)] = find(first)
-    blocks: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        blocks.setdefault(find(next(iter(row))), []).append(row)
-    return sum(_rank_rows(block, modulus) for block in blocks.values())
+    return _rank_rows(rows, modulus)
 
 
 # ---------------------------------------------------------------------

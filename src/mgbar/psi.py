@@ -65,7 +65,7 @@ from fractions import Fraction
 from itertools import groupby, product
 from typing import Iterable, NamedTuple
 
-from . import _Record
+from . import ResourceLimitError, _Record
 
 __all__ = [
     "Correlator",
@@ -90,10 +90,6 @@ _MAX_DIMENSION = 200
 # entry costs about 30 us, so `mgbar psi eval --g 60 --a 178` is refused
 # after about 1.7 s of CPU (2 CPUs, Python 3.11.7).
 MAX_NEW_ENTRIES = 50_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Input exceeds the configured recursion size guard."""
 
 
 def _check_dimension(dimension: int) -> None:

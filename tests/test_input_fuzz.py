@@ -172,6 +172,11 @@ def divisor_data(draw):
 @example({"genus": 2, "lambda": "1", "delta": ["1", "1"],
           "delta_lower_bounds": [True]})
 @example({"genus": 2, "lambda": 0.1, "delta": ["1", "1"]})
+# Text or an integer in place of a list: "12" is no list of "1" and "2".
+@example({"genus": 2, "lambda": "1", "delta": "12"})
+@example({"genus": 2, "lambda": "1", "delta": 12})
+@example({"genus": 2, "lambda": "1", "delta": ["1", "1"],
+          "delta_lower_bounds": 1})
 def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:
@@ -181,7 +186,10 @@ def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
         pass
     else:
         assert isinstance(cls, divclass.DivisorClass), data
-        # Only JSON integers and rational text are read, each as written.
+        # Only JSON integers and rational text are read, each as written,
+        # and the coefficients and flags only from JSON lists.
+        assert type(data["delta"]) is list, data
+        assert type(data.get("delta_lower_bounds", [])) is list, data
         assert cls.genus == data["genus"], data
         assert all(type(j) is int for j in cls.lower_bound_deltas), data
         assert cls.lambda_coeff == Fraction(data["lambda"]), data

@@ -2,8 +2,9 @@
 
 The rank oracle below is deliberately naive (textbook Gaussian
 elimination over Fraction) and is the reference the production rank —
-one column-indexed elimination per connected block, exact or over a
-prime field — is compared against.
+one column-indexed elimination of the whole matrix, exact or over a
+prime field — is compared against; products are compared against a
+dense row-by-column sum.
 """
 
 import itertools
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgbar import cli
+import mgbar
+from mgbar import cli, psi
 from mgbar import koszul as K
 
 
@@ -103,6 +105,31 @@ def block_matrices(draw) -> K.SparseMatrix:
     return K.SparseMatrix(nrows, ncols, entries)
 
 
+def dense_product(a: K.SparseMatrix, b: K.SparseMatrix) -> dict:
+    """The nonzero sums of ``a @ b``, one row-by-column sum per cell."""
+    return {
+        (r, c): x
+        for r in range(a.nrows)
+        for c in range(b.ncols)
+        if (x := sum(a.entries.get((r, m), 0) * b.entries.get((m, c), 0)
+                     for m in range(a.ncols)))
+    }
+
+
+def assert_exact_entries(matrix: K.SparseMatrix, expected: dict) -> None:
+    """``matrix`` holds ``expected``: no zeros, integral values as int."""
+    assert matrix.entries == expected
+    for v in matrix.entries.values():
+        assert v and type(v) is (int if Fraction(v).denominator == 1
+                                  else Fraction), v
+
+
+def transpose(matrix: K.SparseMatrix) -> K.SparseMatrix:
+    return K.SparseMatrix(matrix.ncols, matrix.nrows, {
+        (c, r): v for (r, c), v in matrix.entries.items()
+    })
+
+
 def random_monomial_module(rng: random.Random) -> K.GradedModule:
     """A small quotient of a polynomial ring by a monomial ideal."""
     n = rng.randint(2, 3)
@@ -118,6 +145,18 @@ def random_monomial_module(rng: random.Random) -> K.GradedModule:
     except ValueError:
         # ideal swallowed degree <= 1; fall back to the free module
         return K.polynomial_ring_module(n, top)
+
+
+def rescaled(module: K.GradedModule, rng: random.Random) -> K.GradedModule:
+    """``module`` with each f_l scaled by a nonzero rational: the actions
+    still commute, and the entries become fractions and integers."""
+    scales = [rng.choice([Fraction(1, 2), Fraction(-2, 3), 3, -1, 1])
+              for _ in range(module.base_dim)]
+    return K.GradedModule(module.base_dim, module.piece_dims, tuple(
+        tuple(tuple(tuple(x * scales[l] for x in row) for row in layer)
+              for l, layer in enumerate(tensor))
+        for tensor in module.mult
+    ))
 
 
 class TestGradedModule:
@@ -187,6 +226,53 @@ class TestKoszulMatrix:
                     outer = K.koszul_matrix(m, i, j)
                     inner = K.koszul_matrix(m, i + 1, j - 1)
                     assert outer.compose(inner).is_zero()
+
+    def test_unchecked_build_meets_the_checked_invariants(self):
+        # koszul_matrix skips the constructor's checks; they must hold.
+        rng = random.Random(29)
+        cubic = K.veronese_module(3, 3)
+        modules = [cubic, rescaled(cubic, rng)]
+        for _ in range(10):
+            modules.append(rescaled(random_monomial_module(rng), rng))
+        for m in modules:
+            for j in range(m.top_degree):
+                for i in range(m.base_dim + 1):
+                    mat = K.koszul_matrix(m, i, j)
+                    checked = K.SparseMatrix(mat.nrows, mat.ncols,
+                                             dict(mat.entries))
+                    assert_exact_entries(mat, checked.entries)
+
+
+class TestCompose:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_block_matrices_against_a_dense_product(self, data):
+        a = data.draw(block_matrices())
+        b = data.draw(block_matrices())
+        # fold b's rows onto a's columns so the shapes compose
+        b = K.SparseMatrix(a.ncols, b.ncols, {
+            (r % a.ncols, c): v for (r, c), v in b.entries.items()
+        })
+        for left, right in ((a, b), (a, transpose(a)), (transpose(a), a)):
+            product = left.compose(right)
+            shape = (product.nrows, product.ncols)
+            assert shape == (left.nrows, right.ncols)
+            assert_exact_entries(product, dense_product(left, right))
+
+    def test_integral_products_and_cancelled_sums(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        a = K.SparseMatrix(2, 2, {(0, 0): half, (0, 1): third,
+                                  (1, 0): half, (1, 1): half})
+        b = K.SparseMatrix(2, 2, {(0, 0): 2, (1, 0): -3, (0, 1): 4, (1, 1): 3})
+        product = a.compose(b)
+        # (0, 0) is 1 - 1: absent; (0, 1) is 2 + 1: stored as int
+        assert_exact_entries(product, {(0, 1): 3, (1, 0): Fraction(-1, 2),
+                                       (1, 1): Fraction(7, 2)})
+        assert product.entries == dense_product(a, b)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            K.SparseMatrix(2, 3, {}).compose(K.SparseMatrix(2, 3, {}))
 
 
 class TestRanks:
@@ -433,6 +519,41 @@ class TestSizeBudget:
     def test_small_tables_of_a_wide_module_still_run(self):
         module = K.module_from_json(self.WIDE)
         assert K.betti_table(module, 1, 1)[0] == [1, 39]
+
+
+class TestWorkBudget:
+    """Elimination work, not only matrix size, is bounded."""
+
+    def test_library_raises_past_the_budget(self, monkeypatch):
+        module = K.veronese_module(3, 3)
+        assert K.betti_table(module, 3, 2)[1] == [0, 3, 2, 0]
+        monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 5)
+        with pytest.raises(mgbar.ResourceLimitError, match="row updates"):
+            K.betti_table(module, 3, 2)
+        with pytest.raises(mgbar.ResourceLimitError):
+            K.matrix_rank(K.koszul_matrix(module, 2, 1), K.DEFAULT_PRIME)
+
+    def test_one_error_class_for_every_layer(self):
+        assert psi.ResourceLimitError is mgbar.ResourceLimitError
+        assert issubclass(mgbar.ResourceLimitError, RuntimeError)
+
+    def test_cli_exits_1_with_a_message(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(K.module_to_json(K.veronese_module(3, 3))),
+                        encoding="utf-8")
+        monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 5)
+        code = cli.main(["koszul", "betti", "--input", str(path),
+                         "--max-i", "3", "--max-j", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: rank elimination needs more than 5")
+        assert "Traceback" not in err
+
+    def test_budget_leaves_a_factor_of_100(self):
+        # 15 049 updates: the most that one elimination of the tests or
+        # of the benchmark's workloads makes (generic coordinates, seeds
+        # 1-10)
+        assert K.MAX_ELIMINATION_WORK >= 100 * 15_049
 
 
 class TestSerialization:

@@ -11,10 +11,13 @@ that data we build the Koszul differentials
 
 and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
 by exact rank computations.  A Betti table builds each differential
-once and ranks it by one column-indexed sparse elimination, over the
-integers or, in the optional prime-field mode, over F_p (ranks then
-become high-probability lower bounds); an elimination past
+once and ranks it by one sparse elimination of its columns as vectors,
+over the integers or, in the optional prime-field mode, over F_p (ranks
+then become high-probability lower bounds); an elimination past
 ``MAX_ELIMINATION_WORK`` updates raises :class:`mgbar.ResourceLimitError`.
+Each ``d_{i,j}`` is ranked only on a complement of the incoming image
+``im d_{i+1,j-1}``: the columns at the independent rows that ranking
+``d_{i+1,j-1}`` found are left out, as ``d_{i,j}`` kills that image.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -60,9 +63,10 @@ DEFAULT_PRIME = 2**31 - 1
 # refused before any matrix is built.
 MAX_MATRIX_SIDE = 10_000
 
-# Most row updates of one elimination, counted per pivot as rows times
-# pivot-row entries: 133 times the largest test or benchmark job (15 049);
-# a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a Xeon).
+# Most updates of one elimination, counted per pivot as vectors times
+# pivot-vector entries: 456 times the largest test or benchmark job
+# (4 378); a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a
+# Xeon).
 MAX_ELIMINATION_WORK = 2_000_000
 
 
@@ -283,77 +287,84 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
 # ---------------------------------------------------------------------
 
 
-def _rank_rows(rows: list[dict[int, int]], p: int | None = None) -> int:
-    """Rank of integer sparse rows (consumed), exact or over F_p if ``p``;
-    past ``MAX_ELIMINATION_WORK`` updates it raises ``ResourceLimitError``.
+def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
+    """Pivot coordinates of one elimination of integer sparse vectors
+    (consumed), exact or over F_p if ``p``; there are as many as the rank,
+    and past ``MAX_ELIMINATION_WORK`` updates it raises
+    ``ResourceLimitError``.
 
-    ``cols`` maps each column to the ids of the rows that meet it, so a
-    pivot touches only those rows.  The pivot column has the fewest rows
-    (lowest index on ties; heap counts may be stale and are checked on
-    pop), the pivot row is the sparsest of them.  Exact rows are
-    cross-multiplied by the cofactors of ``gcd(pivot, entry)`` and made
-    primitive; over F_p the pivot row is scaled to a leading 1.
+    Each pivot vector is zero at the earlier pivot coordinates, so the
+    span of the vectors projects isomorphically onto the returned ones.
+    ``where`` maps each coordinate to the ids of the vectors that meet
+    it, so a pivot touches only those vectors.  The pivot coordinate has
+    the fewest vectors (lowest index on ties; heap counts may be stale
+    and are checked on pop), the pivot vector is the sparsest of them.
+    Exact vectors are cross-multiplied by the cofactors of
+    ``gcd(pivot, entry)`` and made primitive; over F_p the pivot vector
+    is scaled to a leading 1.
     """
     if p:
-        rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    work = {k: row for k, row in enumerate(rows) if row}
-    cols: dict[int, set[int]] = {}
-    for k, row in work.items():
-        for c in row:
-            cols.setdefault(c, set()).add(k)
-    heap = [(len(ks), c) for c, ks in cols.items()]
+        vectors = [{c: v % p for c, v in vec.items() if v % p}
+                   for vec in vectors]
+    work = {k: vec for k, vec in enumerate(vectors) if vec}
+    where: dict[int, set[int]] = {}
+    for k, vec in work.items():
+        for c in vec:
+            where.setdefault(c, set()).add(k)
+    heap = [(len(ks), c) for c, ks in where.items()]
     heapq.heapify(heap)
-    rank = updates = 0
+    pivots = []
+    updates = 0
     while heap:
-        count, pcol = heapq.heappop(heap)
-        if len(cols.get(pcol, ())) != count:
+        count, coord = heapq.heappop(heap)
+        if len(where.get(coord, ())) != count:
             continue
-        ks = cols.pop(pcol)
+        ks = where.pop(coord)
         piv = min(ks, key=lambda k: (len(work[k]), k))
         ks.remove(piv)
-        prow = work.pop(piv)
-        pval = prow.pop(pcol)
-        if (updates := updates + len(ks) * len(prow)) > MAX_ELIMINATION_WORK:
+        pvec = work.pop(piv)
+        pval = pvec.pop(coord)
+        if (updates := updates + len(ks) * len(pvec)) > MAX_ELIMINATION_WORK:
             raise ResourceLimitError(f"rank elimination needs more than "
                                      f"{MAX_ELIMINATION_WORK} row updates")
         if p:
             inv = pow(pval, -1, p)
-            prow, pval = {c: v * inv % p for c, v in prow.items()}, 1
-        for c in prow:
-            cols[c].discard(piv)
+            pvec, pval = {c: v * inv % p for c, v in pvec.items()}, 1
+        for c in pvec:
+            where[c].discard(piv)
         for k in ks:
-            row = work[k]
-            a, b = pval, row.pop(pcol)
+            vec = work[k]
+            a, b = pval, vec.pop(coord)
             if not p:
                 g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
                 a, b = a // g, b // g
             if a != 1:
-                for c in row:
-                    row[c] *= a
-            for c, v in prow.items():
-                old = row.get(c)
+                for c in vec:
+                    vec[c] *= a
+            for c, v in pvec.items():
+                old = vec.get(c)
                 new = (old or 0) - b * v
                 if p:
                     new %= p
                 if new:
                     if old is None:
-                        cols[c].add(k)
-                    row[c] = new
+                        where[c].add(k)
+                    vec[c] = new
                 elif old is not None:
-                    del row[c]
-                    cols[c].discard(k)
-            if not row:
+                    del vec[c]
+                    where[c].discard(k)
+            if not vec:
                 del work[k]
-            elif not p and (g := math.gcd(*row.values())) > 1:
-                for c in row:
-                    row[c] //= g
-        for c in prow:
-            if cols[c]:
-                heapq.heappush(heap, (len(cols[c]), c))
+            elif not p and (g := math.gcd(*vec.values())) > 1:
+                for c in vec:
+                    vec[c] //= g
+        for c in pvec:
+            if where[c]:
+                heapq.heappush(heap, (len(where[c]), c))
             else:
-                del cols[c]
-        rank += 1
-    return rank
+                del where[c]
+        pivots.append(coord)
+    return pivots
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -370,26 +381,41 @@ def _is_probable_prime(n: int) -> bool:
     )
 
 
-def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
+def matrix_rank(matrix: SparseMatrix, modulus: int | None = None, *,
+                skip=(), independent: list | None = None) -> int:
     """Exact rank, or rank over F_modulus (a lower bound on the exact
     rank, sharp for all but finitely many primes), by one elimination
-    of the primitive integer rows of ``matrix``."""
+    of the primitive integer columns of ``matrix``, each as a vector.
+
+    Columns in ``skip`` are left out, so the result is the rank of the
+    other columns.  That is the rank of ``matrix`` when the image of a
+    map ``A`` with ``matrix @ A == 0`` projects isomorphically onto the
+    coordinates ``skip``, as it does onto the rows that ranking ``A``
+    reports as independent.  ``independent``, when given, receives the
+    elimination's pivot coordinates: row indices of ``matrix`` whose rows
+    are independent, as many as the returned rank.
+    """
     if modulus is not None:
         if modulus <= 2**30:
             raise ValueError("prime-field modulus must exceed 2**30")
         if not _is_probable_prime(modulus):
             raise ValueError(f"{modulus} is not prime")
-    by_row: dict[int, dict] = {}
+    skip = set(skip)
+    by_col: dict[int, dict] = {}
     for (r, c), v in matrix.entries.items():
-        by_row.setdefault(r, {})[c] = v
-    rows = []  # primitive integer rows: row scaling preserves rank
-    for row in by_row.values():
-        if not all(type(v) is int for v in row.values()):
-            scale = math.lcm(*(v.denominator for v in row.values()))
-            row = {c: int(v * scale) for c, v in row.items()}
-        g = math.gcd(*row.values())
-        rows.append({c: v // g for c, v in row.items()} if g > 1 else row)
-    return _rank_rows(rows, modulus)
+        if c not in skip:
+            by_col.setdefault(c, {})[r] = v
+    vectors = []  # primitive integer columns: column scaling keeps rank
+    for vec in by_col.values():
+        if not all(type(v) is int for v in vec.values()):
+            scale = math.lcm(*(v.denominator for v in vec.values()))
+            vec = {r: int(v * scale) for r, v in vec.items()}
+        g = math.gcd(*vec.values())
+        vectors.append({r: v // g for r, v in vec.items()} if g > 1 else vec)
+    pivots = _rank_rows(vectors, modulus)
+    if independent is not None:
+        independent.extend(pivots)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------
@@ -398,9 +424,9 @@ def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
 
 
 def _strand(outgoing: tuple, incoming: tuple | None) -> KoszulStrand:
-    """The strand of a cell from ``((i, j), d_{i,j}, rank)`` and the same
-    for ``d_{i+1,j-1}``; ``d_{i,j} o d_{i+1,j-1}`` must vanish."""
-    (i, j), matrix, rank = outgoing
+    """The strand of a cell from ``((i, j), d_{i,j}, rank, pivots)`` and
+    the same for ``d_{i+1,j-1}``; ``d_{i,j} o d_{i+1,j-1}`` must vanish."""
+    (i, j), matrix, rank, _ = outgoing
     kernel_dim = matrix.ncols - rank
     image_dim = 0
     if incoming is not None:
@@ -421,15 +447,20 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     rank are reused, so walking ``i + j = const`` with ``i`` falling builds
     and ranks each differential once, with at most two matrices alive
     (``previous`` and ``incoming``).  All sizes are checked up front.
+    ``d_{i,j}`` skips the columns at the independent rows of
+    ``d_{i+1,j-1}``, valid as ``d_{i,j} o d_{i+1,j-1} = 0``, which
+    ``_strand`` checks on the full matrices before yielding the strand.
     """
     for i, j in cells:
         _check_cell(module, i, j)
         if j >= 1 and i < module.base_dim:
             _check_cell(module, i + 1, j - 1)
 
-    def ranked(i: int, j: int) -> tuple:
+    def ranked(i: int, j: int, skip=()) -> tuple:
         matrix = koszul_matrix(module, i, j)
-        return (i, j), matrix, matrix_rank(matrix, modulus)
+        pivots: list[int] = []
+        rank = matrix_rank(matrix, modulus, skip=skip, independent=pivots)
+        return (i, j), matrix, rank, pivots
 
     previous = None
     for i, j in cells:
@@ -437,7 +468,7 @@ def _strands(module: GradedModule, cells, modulus: int | None):
         incoming, previous = (previous if reuse else None), None
         if incoming is None and j >= 1 and i < module.base_dim:
             incoming = ranked(i + 1, j - 1)
-        previous = ranked(i, j)
+        previous = ranked(i, j, incoming[3] if incoming else ())
         yield _strand(previous, incoming)
 
 

@@ -21,9 +21,21 @@ Each ``d_{i,j}`` is ranked only on a complement of the incoming image
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
-fastest.  All multiplication tensors are checked for commutativity of
-the induced V (x) V action at construction time, which is exactly the
-condition making d o d = 0.
+fastest.
+
+d o d = 0 is checked from the multiplication data, once per module
+piece, not by composing matrices.  In d_{i,j} o d_{i+1,j-1}, the column
+f_S (x) u (|S| = i+1, u in M_{j-1}) reaches the row f_T (x) w only when
+T drops two factors s_a, s_b (a < b) of S, along two paths: dropping
+s_a then s_b gives (-1)^(a+b-1) [f_{s_b} f_{s_a} u]_w, dropping s_b
+then s_a gives (-1)^(a+b) [f_{s_a} f_{s_b} u]_w.  The entry is their
+sum, (-1)^(a+b) [f_{s_a} f_{s_b} u - f_{s_b} f_{s_a} u]_w, and every
+other entry is zero.  When 1 <= i < base_dim, every pair l < m lies in
+some S, so the composite vanishes iff f_l f_m = f_m f_l on M_{j-1}; at
+i = 0, d_{0,j} has no rows and the composite is zero.  The constructor
+checks every piece, and a Betti walk checks again each piece whose
+commutativity its ranks rely on, so data assembled around the
+constructor fails closed.
 """
 
 from __future__ import annotations
@@ -160,19 +172,27 @@ class GradedModule(_Record):
     def top_degree(self) -> int:
         return len(self.piece_dims) - 1
 
+    def _noncommuting(self, j: int) -> tuple[int, int, int] | None:
+        """The first ``(l, m, u)`` with ``f_l f_m u != f_m f_l u`` for the
+        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``."""
+        first, second = self._nonzero[j], self._nonzero[j + 1]
+        for l, m in itertools.combinations(range(self.base_dim), 2):
+            for u in range(self.piece_dims[j]):
+                lm = _product(first[l][u], second[m])
+                if lm != _product(first[m][u], second[l]):
+                    return l, m, u
+        return None
+
     def _check_commutativity(self) -> None:
         """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}."""
         for j in range(len(self.piece_dims) - 2):
-            first, second = self._nonzero[j], self._nonzero[j + 1]
-            for l, m in itertools.combinations(range(self.base_dim), 2):
-                for u in range(self.piece_dims[j]):
-                    lm = _product(first[l][u], second[m])
-                    if lm != _product(first[m][u], second[l]):
-                        raise ValueError(
-                            "multiplication tensors do not commute: "
-                            f"f_{l} f_{m} != f_{m} f_{l} on basis "
-                            f"vector {u} of piece {j}"
-                        )
+            if (found := self._noncommuting(j)) is not None:
+                l, m, u = found
+                raise ValueError(
+                    "multiplication tensors do not commute: "
+                    f"f_{l} f_{m} != f_{m} f_{l} on basis "
+                    f"vector {u} of piece {j}"
+                )
 
 
 class KoszulStrand(_Record):
@@ -326,7 +346,7 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
         pval = pvec.pop(coord)
         if (updates := updates + len(ks) * len(pvec)) > MAX_ELIMINATION_WORK:
             raise ResourceLimitError(f"rank elimination needs more than "
-                                     f"{MAX_ELIMINATION_WORK} row updates")
+                                     f"{MAX_ELIMINATION_WORK} vector updates")
         if p:
             inv = pow(pval, -1, p)
             pvec, pval = {c: v * inv % p for c, v in pvec.items()}, 1
@@ -423,33 +443,19 @@ def matrix_rank(matrix: SparseMatrix, modulus: int | None = None, *,
 # ---------------------------------------------------------------------
 
 
-def _strand(outgoing: tuple, incoming: tuple | None) -> KoszulStrand:
-    """The strand of a cell from ``((i, j), d_{i,j}, rank, pivots)`` and
-    the same for ``d_{i+1,j-1}``; ``d_{i,j} o d_{i+1,j-1}`` must vanish."""
-    (i, j), matrix, rank, _ = outgoing
-    kernel_dim = matrix.ncols - rank
-    image_dim = 0
-    if incoming is not None:
-        if not matrix.compose(incoming[1]).is_zero():
-            raise ValueError(
-                f"inconsistent multiplication data: d_({i},{j}) o "
-                f"d_({i + 1},{j - 1}) is not zero"
-            )
-        image_dim = incoming[2]
-    return KoszulStrand(i, j, kernel_dim, image_dim, kernel_dim - image_dim)
-
-
 def _strands(module: GradedModule, cells, modulus: int | None):
     """The strand of each ``(i, j)`` in ``cells``, in order.
 
     A cell's incoming map ``d_{i+1,j-1}`` is the outgoing map of the
-    cell ``(i+1, j-1)``; when that cell came just before, its matrix and
-    rank are reused, so walking ``i + j = const`` with ``i`` falling builds
-    and ranks each differential once, with at most two matrices alive
-    (``previous`` and ``incoming``).  All sizes are checked up front.
-    ``d_{i,j}`` skips the columns at the independent rows of
-    ``d_{i+1,j-1}``, valid as ``d_{i,j} o d_{i+1,j-1} = 0``, which
-    ``_strand`` checks on the full matrices before yielding the strand.
+    cell ``(i+1, j-1)``; when that cell came just before, its rank and
+    pivots are reused, so walking ``i + j = const`` with ``i`` falling
+    builds and ranks each differential once, and each matrix is dropped
+    once it is ranked.  All sizes are checked up front.  ``d_{i,j}``
+    skips the columns at the independent rows of ``d_{i+1,j-1}``, valid
+    as ``d_{i,j} o d_{i+1,j-1} = 0``.  For ``i >= 1`` that holds iff
+    piece ``j - 1`` commutes (see the module docstring), so before the
+    first such cell ranks its outgoing map, piece ``j - 1`` is checked,
+    once per walk; at ``i = 0`` the composite is zero.
     """
     for i, j in cells:
         _check_cell(module, i, j)
@@ -457,19 +463,31 @@ def _strands(module: GradedModule, cells, modulus: int | None):
             _check_cell(module, i + 1, j - 1)
 
     def ranked(i: int, j: int, skip=()) -> tuple:
+        """``((i, j), dim ker, rank, pivots)`` of ``d_{i,j}``, whose
+        matrix is dropped here."""
         matrix = koszul_matrix(module, i, j)
         pivots: list[int] = []
         rank = matrix_rank(matrix, modulus, skip=skip, independent=pivots)
-        return (i, j), matrix, rank, pivots
+        return (i, j), matrix.ncols - rank, rank, pivots
 
+    commuting: set[int] = set()
     previous = None
     for i, j in cells:
+        has_incoming = j >= 1 and i < module.base_dim
+        if has_incoming and i >= 1 and j - 1 not in commuting:
+            if module._noncommuting(j - 1) is not None:
+                raise ValueError(
+                    f"inconsistent multiplication data: d_({i},{j}) o "
+                    f"d_({i + 1},{j - 1}) is not zero"
+                )
+            commuting.add(j - 1)
         reuse = previous is not None and previous[0] == (i + 1, j - 1)
         incoming, previous = (previous if reuse else None), None
-        if incoming is None and j >= 1 and i < module.base_dim:
+        if incoming is None and has_incoming:
             incoming = ranked(i + 1, j - 1)
         previous = ranked(i, j, incoming[3] if incoming else ())
-        yield _strand(previous, incoming)
+        kernel_dim, image_dim = previous[1], incoming[2] if incoming else 0
+        yield KoszulStrand(i, j, kernel_dim, image_dim, kernel_dim - image_dim)
 
 
 def koszul_cohomology(
@@ -478,9 +496,10 @@ def koszul_cohomology(
     """Strand dimensions at ``(i, j)``.
 
     ``k_dim = dim ker d_{i,j} - rank d_{i+1,j-1}`` with ``M_{-1} = 0``
-    and ``Wedge^{i+1} V = 0`` when ``i + 1 > base_dim``.  The composite
-    ``d_{i,j} o d_{i+1,j-1}`` is asserted to vanish first; failure
-    means the multiplication data is inconsistent.  With ``modulus``
+    and ``Wedge^{i+1} V = 0`` when ``i + 1 > base_dim``.  For ``i >= 1``
+    the composite ``d_{i,j} o d_{i+1,j-1}`` is checked to vanish first,
+    exactly, by checking that ``f_l f_m = f_m f_l`` on ``M_{j-1}``;
+    failure means the multiplication data is inconsistent.  With ``modulus``
     the reported ranks are high-probability lower bounds, making
     ``k_dim`` an upper bound.
     """

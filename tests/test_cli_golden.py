@@ -12,7 +12,8 @@ denominators in module JSON and ``taut`` expressions, and zero
 denominators and huge decimal exponents in ``--coeffs`` (exit 1) and
 ``--tolerance`` (exit 2)) were added when those inputs started failing
 closed.  ``--tolerance abc`` was captured before that change and pins
-the message of a malformed tolerance.
+the message of a malformed tolerance.  The entries for a module whose
+multiplication tensors do not commute pin its refusal (exit 1).
 
 Koszul module files are written under fixed relative names into a
 scratch working directory, because ``inputs.input`` echoes the path.
@@ -47,6 +48,13 @@ def write_modules(directory: Path) -> None:
             "base_dim": 1, "pieces": [1, 1, 1], "mult": [[[[0.1]]], [[[2]]]],
         },
         "zero.json": {"base_dim": 1, "pieces": [1, 1], "mult": [[[["1/0"]]]]},
+        # f_1 f_0 sends M_0 to the third basis vector of M_2, f_0 f_1 to
+        # the second.
+        "noncommuting.json": {
+            "base_dim": 2, "pieces": [1, 2, 3],
+            "mult": [[[[1, 0]], [[0, 1]]],
+                     [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 1, 0]]]],
+        },
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data), encoding="utf-8")

@@ -169,6 +169,40 @@ def rescaled(module: K.GradedModule, rng: random.Random) -> K.GradedModule:
     ))
 
 
+def around_the_constructor(base: K.GradedModule, j: int, l: int,
+                           u: int) -> K.GradedModule:
+    """``base`` with ``f_l`` doubled on basis vector ``u`` of ``M_j`` in
+    the sparse view the differentials read, assembled without the
+    constructor, which would refuse data that does not commute."""
+    nonzero = [[list(layer) for layer in tensor] for tensor in base._nonzero]
+    nonzero[j][l][u] = tuple((w, 2 * x) for w, x in nonzero[j][l][u])
+    module = K.GradedModule.__new__(K.GradedModule)
+    module.__dict__.update(base_dim=base.base_dim, piece_dims=base.piece_dims,
+                           mult=base.mult, _nonzero=nonzero)
+    return module
+
+
+def commutes(module: K.GradedModule, j: int) -> bool:
+    """Whether ``f_l f_m = f_m f_l`` on ``M_j``, by dense products of the
+    maps in the sparse view that the differentials read."""
+    dims = module.piece_dims
+
+    def dense(k: int, l: int) -> list:
+        rows = [[0] * dims[k + 1] for _ in range(dims[k])]
+        for u, pairs in enumerate(module._nonzero[k][l]):
+            for w, x in pairs:
+                rows[u][w] = x
+        return rows
+
+    def then(l: int, m: int) -> list:
+        a, b = dense(j, l), dense(j + 1, m)
+        return [[sum(a[u][w] * b[w][v] for w in range(dims[j + 1]))
+                 for v in range(dims[j + 2])] for u in range(dims[j])]
+
+    return all(then(l, m) == then(m, l)
+               for l, m in itertools.combinations(range(module.base_dim), 2))
+
+
 class TestGradedModule:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -563,6 +597,100 @@ class TestBettiTable:
         assert len(built) == 20 + 3
 
 
+class TestDSquaredFromCommutativity:
+    """d_{i,j} o d_{i+1,j-1} = 0 iff piece j - 1 commutes, for 1 <= i < n;
+    the Koszul walk checks the latter, once per piece."""
+
+    QUARTIC_TABLE = [[1, 0, 0, 0, 0], [0, 6, 8, 3, 0],
+                     [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+
+    def modules(self):
+        rng = random.Random(37)
+        for _ in range(12):
+            base = random_monomial_module(rng)
+            for module in (base, rescaled(base, rng)):
+                yield module
+                j = rng.randrange(module.top_degree)
+                if module.piece_dims[j]:
+                    yield around_the_constructor(
+                        module, j, rng.randrange(module.base_dim),
+                        rng.randrange(module.piece_dims[j]))
+
+    def test_composite_vanishes_iff_the_piece_commutes(self):
+        seen = set()
+        for m in self.modules():
+            for j in range(1, m.top_degree):
+                piece = commutes(m, j - 1)
+                seen.add(piece)
+                assert (m._noncommuting(j - 1) is None) == piece
+                for i in range(1, m.base_dim):
+                    outer = K.koszul_matrix(m, i, j)
+                    inner = K.koszul_matrix(m, i + 1, j - 1)
+                    assert outer.compose(inner).is_zero() == piece, (i, j)
+        assert seen == {True, False}
+
+    def test_noncommuting_data_raises_only_past_i_0(self):
+        raised = 0
+        for m in self.modules():
+            for j in range(1, m.top_degree):
+                if commutes(m, j - 1):
+                    continue
+                strand = K.koszul_cohomology(m, 0, j)
+                image = rank_oracle(K.koszul_matrix(m, 1, j - 1))
+                assert strand == K.KoszulStrand(
+                    0, j, m.piece_dims[j], image, m.piece_dims[j] - image)
+                message = (rf"inconsistent multiplication data: "
+                           rf"d_\(1,{j}\) o d_\(2,{j - 1}\) is not zero")
+                with pytest.raises(ValueError, match=message):
+                    K.koszul_cohomology(m, 1, j)
+                raised += 1
+        assert raised
+
+    def test_the_walk_composes_no_matrices(self, monkeypatch):
+        quartic = K.veronese_module(4, 4)
+
+        def no_compose(self, other):
+            raise AssertionError("a Koszul walk composed two matrices")
+
+        checked, noncommuting = [], K.GradedModule._noncommuting
+
+        def counting(module, j):
+            checked.append(j)
+            return noncommuting(module, j)
+
+        monkeypatch.setattr(K.SparseMatrix, "compose", no_compose)
+        monkeypatch.setattr(K.GradedModule, "_noncommuting", counting)
+        for modulus in (None, K.DEFAULT_PRIME):
+            checked.clear()
+            assert K.betti_table(quartic, 4, 3, modulus) == self.QUARTIC_TABLE
+            assert checked == [0, 1, 2]
+        checked.clear()
+        assert K.koszul_cohomology(quartic, 2, 1) == K.KoszulStrand(
+            2, 1, 18, 10, 8)
+        assert checked == [0]
+        checked.clear()
+        assert K.koszul_cohomology(quartic, 0, 1) == K.KoszulStrand(
+            0, 1, 5, 5, 0)
+        assert checked == []
+        assert K.green_lazarsfeld_Np(quartic, 4)
+        assert checked == [1]
+
+    def test_the_check_runs_before_the_outgoing_map_is_built(
+            self, monkeypatch):
+        ring = K.polynomial_ring_module(2, 3)
+        module = around_the_constructor(ring, 1, 0, 1)
+        built, build = [], K.koszul_matrix
+
+        def recording(module, i, j):
+            built.append((i, j))
+            return build(module, i, j)
+
+        monkeypatch.setattr(K, "koszul_matrix", recording)
+        with pytest.raises(ValueError, match=r"d_\(1,1\) o d_\(2,0\)"):
+            K.betti_table(module, 2, 1)
+        assert built == [(0, 0), (1, 0), (0, 1), (2, 0)]
+
+
 class TestSizeBudget:
     """A small module JSON can ask for comb(base_dim, i)-sized matrices."""
 
@@ -611,7 +739,7 @@ class TestWorkBudget:
         assert K.betti_table(module, 3, 2)[1] == [0, 3, 2, 0]
         assert K.betti_table(quartic, 4, 3)[1] == [0, 6, 8, 3, 0]
         monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 5)
-        with pytest.raises(mgbar.ResourceLimitError, match="row updates"):
+        with pytest.raises(mgbar.ResourceLimitError, match="vector updates"):
             K.betti_table(quartic, 4, 3)
         with pytest.raises(mgbar.ResourceLimitError):
             K.matrix_rank(K.koszul_matrix(module, 2, 1), K.DEFAULT_PRIME)

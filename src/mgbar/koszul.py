@@ -10,14 +10,15 @@ that data we build the Koszul differentials
         = sum_l (-1)^l  f_{s_0} ^ ... f-hat_{s_l} ... (x) (u f_{s_l}),
 
 and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
-by exact rank computations.  A Betti table builds each differential
-once and ranks it by one sparse elimination of its columns as vectors,
-over the integers or, in the optional prime-field mode, over F_p (ranks
-then become high-probability lower bounds); an elimination past
-``MAX_ELIMINATION_WORK`` updates raises :class:`mgbar.ResourceLimitError`.
-Each ``d_{i,j}`` is ranked only on a complement of the incoming image
-``im d_{i+1,j-1}``: the columns at the independent rows that ranking
-``d_{i+1,j-1}`` found are left out, as ``d_{i,j}`` kills that image.
+by exact rank computations.  A module's entries are read in one pass per
+row.  A Betti table builds each differential once, as the column vectors
+that one sparse elimination ranks, over the integers or, in the optional
+prime-field mode, over F_p (ranks then become high-probability lower
+bounds); an elimination past ``MAX_ELIMINATION_WORK`` updates raises
+:class:`mgbar.ResourceLimitError`.  Each ``d_{i,j}`` is ranked only on a
+complement of the incoming image ``im d_{i+1,j-1}``: the columns at the
+independent rows that ranking ``d_{i+1,j-1}`` found are never built, as
+``d_{i,j}`` kills that image.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -48,21 +49,10 @@ from fractions import Fraction
 from . import ResourceLimitError, _Record, _rational
 
 __all__ = [
-    "GradedModule",
-    "KoszulStrand",
-    "SparseMatrix",
-    "koszul_matrix",
-    "matrix_rank",
-    "koszul_cohomology",
-    "green_lazarsfeld_Np",
-    "betti_table",
-    "polynomial_ring_module",
-    "veronese_module",
-    "monomial_quotient_module",
-    "module_from_json",
-    "module_to_json",
-    "DEFAULT_PRIME",
-    "MAX_MATRIX_SIDE",
+    "GradedModule", "KoszulStrand", "SparseMatrix", "koszul_matrix",
+    "matrix_rank", "koszul_cohomology", "green_lazarsfeld_Np", "betti_table",
+    "polynomial_ring_module", "veronese_module", "monomial_quotient_module",
+    "module_from_json", "module_to_json", "DEFAULT_PRIME", "MAX_MATRIX_SIDE",
     "MAX_ELIMINATION_WORK",
 ]
 
@@ -82,30 +72,53 @@ MAX_MATRIX_SIDE = 10_000
 MAX_ELIMINATION_WORK = 2_000_000
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return _rational(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def _exact(x) -> int | Fraction:
     """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if type(x) is int:
         return x
-    x = _as_fraction(x)
+    if isinstance(x, str):
+        x = _rational(x)
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
     return x.numerator if x.denominator == 1 else x
 
 
-def _rows(f, mult) -> tuple:
-    """``f(row)`` for every row of every layer of every tensor of ``mult``."""
-    return tuple(
-        tuple(tuple(f(row) for row in layer) for layer in tensor)
-        for tensor in mult
-    )
+class _Memo(dict):
+    """``f(x)`` for each distinct ``x``, computed on its first lookup."""
+
+    def __init__(self, f) -> None:
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = y = self.f(x)
+        return y
+
+
+def _load(mult) -> tuple[tuple, tuple]:
+    """``mult`` with ``Fraction`` entries, and its sparse view: the nonzero
+    ``(w, x)`` of each row, with integral ``x`` as ``int``.
+
+    One pass per row.  Entries repeat, so a row of only ``int``, ``str``
+    and ``Fraction`` entries reads each from a memo of ``_exact``, where
+    no ``bool`` or float meets an ``int``'s slot; any other row goes
+    through ``_exact`` entry by entry, which raises on the first bad one.
+    """
+    exact, fraction = _Memo(_exact), _Memo(Fraction)
+    plain = {int, str, Fraction}
+
+    def row(entries) -> tuple[tuple, tuple]:
+        values = tuple(map(exact.__getitem__ if set(map(type, entries))
+                           <= plain else _exact, entries))
+        return tuple(map(fraction.__getitem__, values)), tuple(zip(
+            itertools.compress(itertools.count(), values),
+            filter(None, values)))
+
+    rows = [[list(map(row, layer)) for layer in tensor] for tensor in mult]
+    return tuple(tuple(tuple(tuple(pair[k] for pair in layer)
+                             for layer in tensor) for tensor in rows)
+                 for k in (0, 1))
 
 
 def _product(pairs, layer) -> dict:
@@ -116,6 +129,18 @@ def _product(pairs, layer) -> dict:
         for v, y in layer[w]:
             out[v] = out.get(v, 0) + x * y
     return {v: c for v, c in out.items() if c}
+
+
+def _dims(base_dim: int, piece_dims) -> tuple[int, ...]:
+    """The piece dimensions, once they and ``base_dim`` pass the checks."""
+    if base_dim < 1:
+        raise ValueError("base_dim must be at least 1")
+    dims = tuple(int(d) for d in piece_dims)
+    if len(dims) < 2:
+        raise ValueError("need at least pieces M_0 and M_1")
+    if any(d < 0 for d in dims):
+        raise ValueError("piece dimensions must be nonnegative")
+    return dims
 
 
 class GradedModule(_Record):
@@ -133,39 +158,25 @@ class GradedModule(_Record):
     _fields = ("base_dim", "piece_dims", "mult")
 
     def __init__(self, base_dim: int, piece_dims, mult) -> None:
-        if base_dim < 1:
-            raise ValueError("base_dim must be at least 1")
-        dims = tuple(int(d) for d in piece_dims)
-        if len(dims) < 2:
-            raise ValueError("need at least pieces M_0 and M_1")
-        if any(d < 0 for d in dims):
-            raise ValueError("piece dimensions must be nonnegative")
-        tensors = _rows(lambda row: tuple(map(_as_fraction, row)), mult)
-        self.__dict__.update(base_dim=base_dim, piece_dims=dims, mult=tensors)
+        self._fill(base_dim, _dims(base_dim, piece_dims), *_load(mult))
+
+    def _fill(self, base_dim: int, dims: tuple, tensors, nonzero) -> None:
+        """Store the sizes and the loaded tensors, then check them."""
+        self.__dict__.update(base_dim=base_dim, piece_dims=dims, mult=tensors,
+                             _nonzero=nonzero)
         if len(tensors) != len(dims) - 1:
-            raise ValueError(
-                f"need {len(dims) - 1} multiplication tensors, "
-                f"got {len(tensors)}"
-            )
+            raise ValueError(f"need {len(dims) - 1} multiplication tensors, "
+                             f"got {len(tensors)}")
         for j, tensor in enumerate(tensors):
             if len(tensor) != base_dim:
                 raise ValueError(f"mult[{j}] must have base_dim layers")
             for l, layer in enumerate(tensor):
                 if len(layer) != dims[j]:
                     raise ValueError(
-                        f"mult[{j}][{l}] must have {dims[j]} rows"
-                    )
-                for row in layer:
-                    if len(row) != dims[j + 1]:
-                        raise ValueError(
-                            f"mult[{j}][{l}] rows must have length "
-                            f"{dims[j + 1]}"
-                        )
-        nonzero = _rows(
-            lambda row: tuple((w, _exact(x)) for w, x in enumerate(row) if x),
-            tensors,
-        )
-        self.__dict__["_nonzero"] = nonzero
+                        f"mult[{j}][{l}] must have {dims[j]} rows")
+                if any(len(row) != dims[j + 1] for row in layer):
+                    raise ValueError(f"mult[{j}][{l}] rows must have length "
+                                     f"{dims[j + 1]}")
         self._check_commutativity()
 
     @property
@@ -203,16 +214,14 @@ class KoszulStrand(_Record):
 
     _fields = ("i", "j", "kernel_dim", "image_dim", "k_dim")
 
-    def __init__(
-        self, i: int, j: int, kernel_dim: int, image_dim: int, k_dim: int
-    ) -> None:
+    def __init__(self, i: int, j: int, kernel_dim: int, image_dim: int,
+                 k_dim: int) -> None:
         if k_dim != kernel_dim - image_dim:
             raise ValueError("k_dim must equal kernel_dim - image_dim")
         if k_dim < 0:
             raise ValueError("negative strand dimension")
-        self.__dict__.update(
-            i=i, j=j, kernel_dim=kernel_dim, image_dim=image_dim, k_dim=k_dim
-        )
+        self.__dict__.update(i=i, j=j, kernel_dim=kernel_dim,
+                             image_dim=image_dim, k_dim=k_dim)
 
 
 class SparseMatrix(_Record):
@@ -258,18 +267,42 @@ def _check_cell(module: GradedModule, i: int, j: int) -> tuple[int, int]:
     if i < 0 or i > n:
         raise ValueError(f"wedge degree {i} outside 0..{n}")
     if j < 0 or j + 1 > module.top_degree:
-        raise ValueError(
-            f"need pieces M_{j} and M_{j + 1}; module stops at "
-            f"M_{module.top_degree}"
-        )
+        raise ValueError(f"need pieces M_{j} and M_{j + 1}; module stops at "
+                         f"M_{module.top_degree}")
     nrows = math.comb(n, i - 1) * dims[j + 1] if i else 0
     ncols = math.comb(n, i) * dims[j]
     if max(nrows, ncols) > MAX_MATRIX_SIDE:
-        raise ValueError(
-            f"d_({i},{j}) would be {nrows} x {ncols}; the limit is "
-            f"{MAX_MATRIX_SIDE} rows or columns"
-        )
+        raise ValueError(f"d_({i},{j}) would be {nrows} x {ncols}; the limit "
+                         f"is {MAX_MATRIX_SIDE} rows or columns")
     return nrows, ncols
+
+
+def _columns(module: GradedModule, i: int, j: int, skip) -> dict[int, dict]:
+    """The nonzero columns of ``d_{i,j}`` outside ``skip``, in column
+    order, each as ``{row: value}``; no column in ``skip`` is built.  The
+    cell's shape is :func:`_check_cell`'s to check."""
+    n, dim_j, dim_j1 = module.base_dim, *module.piece_dims[j : j + 2]
+    # At i = 0 no wedge factor is dropped: no rows, no entries.
+    targets = itertools.combinations(range(n), max(i - 1, 0))
+    target_index = {comb: pos for pos, comb in enumerate(targets)}
+    layers = module._nonzero[j]
+    columns = {}
+    for s_pos, s in enumerate(itertools.combinations(range(n), i)):
+        # Dropping f_{s[drop]} lands in its own row block with sign
+        # (-1)^drop, so each (row, column) is reached once.  The values of
+        # ``module._nonzero`` are nonzero and exact: no check runs again.
+        blocks = [(target_index[s[:drop] + s[drop + 1 :]] * dim_j1,
+                   drop % 2, layers[l]) for drop, l in enumerate(s)]
+        for c in range(s_pos * dim_j, (s_pos + 1) * dim_j):
+            if c in skip:
+                continue
+            u, column = c - s_pos * dim_j, {}
+            for row_base, odd, layer in blocks:
+                for w, x in layer[u]:
+                    column[row_base + w] = -x if odd else x
+            if column:
+                columns[c] = column
+    return columns
 
 
 def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
@@ -280,23 +313,8 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
     gives the zero map out of ``M_j`` (a matrix with no rows).
     """
     nrows, ncols = _check_cell(module, i, j)
-    n = module.base_dim
-    dim_j, dim_j1 = module.piece_dims[j], module.piece_dims[j + 1]
-    # At i = 0 no wedge factor is dropped: no rows, no entries.
-    targets = itertools.combinations(range(n), max(i - 1, 0))
-    target_index = {comb: pos for pos, comb in enumerate(targets)}
-    # Each (row, column) is reached once: dropping different wedge
-    # factors of a column lands in different row blocks.  The values of
-    # ``module._nonzero`` are nonzero and exact, so no check runs again.
-    entries: dict[tuple[int, int], int | Fraction] = {}
-    for s_pos, s in enumerate(itertools.combinations(range(n), i)):
-        col_base = s_pos * dim_j
-        for drop, l in enumerate(s):
-            row_base = target_index[s[:drop] + s[drop + 1 :]] * dim_j1
-            odd = drop % 2
-            for u, pairs in enumerate(module._nonzero[j][l]):
-                for w, x in pairs:
-                    entries[(row_base + w, col_base + u)] = -x if odd else x
+    entries = {(r, c): x for c, column in _columns(module, i, j, ()).items()
+               for r, x in column.items()}
     matrix = SparseMatrix.__new__(SparseMatrix)
     matrix.__dict__.update(nrows=nrows, ncols=ncols, entries=entries)
     return matrix
@@ -387,18 +405,36 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     return pivots
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases."""
+def _check_modulus(n: int | None) -> None:
+    """Refuse a prime-field modulus ``n`` unless it exceeds 2**30 and
+    passes Miller-Rabin to the first twelve prime bases."""
+    if n is None:
+        return
+    if n <= 2**30:
+        raise ValueError("prime-field modulus must exceed 2**30")
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % q == 0 for q in small):
-        return n in small
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    return not any(
+    if any(n % q == 0 for q in small) or any(
         pow(a, d, n) != 1
         and all(pow(a, d << r, n) != n - 1 for r in range(s))
         for a in small
-    )
+    ):
+        raise ValueError(f"{n} is not prime")
+
+
+def _primitive(columns) -> list[dict]:
+    """Each column as a primitive integer vector (scaling keeps rank)."""
+    vectors = []
+    for vec in columns:
+        try:
+            g = math.gcd(*vec.values())
+        except TypeError:  # a Fraction entry: clear the denominators
+            scale = math.lcm(*(v.denominator for v in vec.values()))
+            vec = {r: int(v * scale) for r, v in vec.items()}
+            g = math.gcd(*vec.values())
+        vectors.append({r: v // g for r, v in vec.items()} if g > 1 else vec)
+    return vectors
 
 
 def matrix_rank(matrix: SparseMatrix, modulus: int | None = None, *,
@@ -415,24 +451,13 @@ def matrix_rank(matrix: SparseMatrix, modulus: int | None = None, *,
     elimination's pivot coordinates: row indices of ``matrix`` whose rows
     are independent, as many as the returned rank.
     """
-    if modulus is not None:
-        if modulus <= 2**30:
-            raise ValueError("prime-field modulus must exceed 2**30")
-        if not _is_probable_prime(modulus):
-            raise ValueError(f"{modulus} is not prime")
+    _check_modulus(modulus)
     skip = set(skip)
     by_col: dict[int, dict] = {}
     for (r, c), v in matrix.entries.items():
         if c not in skip:
             by_col.setdefault(c, {})[r] = v
-    vectors = []  # primitive integer columns: column scaling keeps rank
-    for vec in by_col.values():
-        if not all(type(v) is int for v in vec.values()):
-            scale = math.lcm(*(v.denominator for v in vec.values()))
-            vec = {r: int(v * scale) for r, v in vec.items()}
-        g = math.gcd(*vec.values())
-        vectors.append({r: v // g for r, v in vec.items()} if g > 1 else vec)
-    pivots = _rank_rows(vectors, modulus)
+    pivots = _rank_rows(_primitive(by_col.values()), modulus)
     if independent is not None:
         independent.extend(pivots)
     return len(pivots)
@@ -449,9 +474,9 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     A cell's incoming map ``d_{i+1,j-1}`` is the outgoing map of the
     cell ``(i+1, j-1)``; when that cell came just before, its rank and
     pivots are reused, so walking ``i + j = const`` with ``i`` falling
-    builds and ranks each differential once, and each matrix is dropped
-    once it is ranked.  All sizes are checked up front.  ``d_{i,j}``
-    skips the columns at the independent rows of ``d_{i+1,j-1}``, valid
+    builds each differential once, as the columns it ranks, and keeps
+    only rank and pivots.  All sizes are checked up front.  ``d_{i,j}``
+    is built without the columns at the pivots of ``d_{i+1,j-1}``, valid
     as ``d_{i,j} o d_{i+1,j-1} = 0``.  For ``i >= 1`` that holds iff
     piece ``j - 1`` commutes (see the module docstring), so before the
     first such cell ranks its outgoing map, piece ``j - 1`` is checked,
@@ -463,36 +488,35 @@ def _strands(module: GradedModule, cells, modulus: int | None):
             _check_cell(module, i + 1, j - 1)
 
     def ranked(i: int, j: int, skip=()) -> tuple:
-        """``((i, j), dim ker, rank, pivots)`` of ``d_{i,j}``, whose
-        matrix is dropped here."""
-        matrix = koszul_matrix(module, i, j)
-        pivots: list[int] = []
-        rank = matrix_rank(matrix, modulus, skip=skip, independent=pivots)
-        return (i, j), matrix.ncols - rank, rank, pivots
+        """``((i, j), dim ker, rank, pivots)`` of ``d_{i,j}``, ranked on
+        its columns outside ``skip``, which are never built."""
+        _check_modulus(modulus)
+        columns = _columns(module, i, j, set(skip)).values()
+        pivots = _rank_rows(_primitive(columns), modulus)
+        rank = len(pivots)
+        return (i, j), _check_cell(module, i, j)[1] - rank, rank, pivots
 
     commuting: set[int] = set()
     previous = None
     for i, j in cells:
-        has_incoming = j >= 1 and i < module.base_dim
-        if has_incoming and i >= 1 and j - 1 not in commuting:
-            if module._noncommuting(j - 1) is not None:
-                raise ValueError(
-                    f"inconsistent multiplication data: d_({i},{j}) o "
-                    f"d_({i + 1},{j - 1}) is not zero"
-                )
-            commuting.add(j - 1)
-        reuse = previous is not None and previous[0] == (i + 1, j - 1)
-        incoming, previous = (previous if reuse else None), None
-        if incoming is None and has_incoming:
-            incoming = ranked(i + 1, j - 1)
-        previous = ranked(i, j, incoming[3] if incoming else ())
-        kernel_dim, image_dim = previous[1], incoming[2] if incoming else 0
+        image_dim, skip = 0, ()
+        if j >= 1 and i < module.base_dim:
+            if i >= 1 and j - 1 not in commuting:
+                if module._noncommuting(j - 1) is not None:
+                    raise ValueError(f"inconsistent multiplication data: "
+                                     f"d_({i},{j}) o d_({i + 1},{j - 1}) "
+                                     f"is not zero")
+                commuting.add(j - 1)
+            if previous is None or previous[0] != (i + 1, j - 1):
+                previous = ranked(i + 1, j - 1)
+            _, _, image_dim, skip = previous
+        previous = ranked(i, j, skip)
+        kernel_dim = previous[1]
         yield KoszulStrand(i, j, kernel_dim, image_dim, kernel_dim - image_dim)
 
 
-def koszul_cohomology(
-    module: GradedModule, i: int, j: int, modulus: int | None = None
-) -> KoszulStrand:
+def koszul_cohomology(module: GradedModule, i: int, j: int,
+                      modulus: int | None = None) -> KoszulStrand:
     """Strand dimensions at ``(i, j)``.
 
     ``k_dim = dim ker d_{i,j} - rank d_{i+1,j-1}`` with ``M_{-1} = 0``
@@ -525,17 +549,12 @@ def betti_table(
     if max_i < 0 or max_j < 0:
         raise ValueError("table bounds must be nonnegative")
     if max_j + 1 > module.top_degree:
-        raise ValueError(
-            f"table needs pieces up to M_{max_j + 1}; module stops at "
-            f"M_{module.top_degree}"
-        )
+        raise ValueError(f"table needs pieces up to M_{max_j + 1}; module "
+                         f"stops at M_{module.top_degree}")
     if max_i > module.base_dim:
         raise ValueError(f"wedge degree bound {max_i} exceeds base_dim")
-    cells = [
-        (i, s - i)
-        for s in range(max_i + max_j + 1)
-        for i in range(min(max_i, s), max(0, s - max_j) - 1, -1)
-    ]
+    cells = [(i, s - i) for s in range(max_i + max_j + 1)
+             for i in range(min(max_i, s), max(0, s - max_j) - 1, -1)]
     table = [[0] * (max_i + 1) for _ in range(max_j + 1)]
     for strand in _strands(module, cells, modulus):
         table[strand.j][strand.i] = strand.k_dim
@@ -564,14 +583,14 @@ def _monomial_module(gens, bases) -> GradedModule:
         index = {mono: w for w, mono in enumerate(bases[j + 1])}
         tensor = []
         for g in gens:
-            layer = [[Fraction(0)] * len(bases[j + 1]) for _ in bases[j]]
+            layer = [[0] * len(bases[j + 1]) for _ in bases[j]]
             for u, mono in enumerate(bases[j]):
                 w = index.get(tuple(a + b for a, b in zip(mono, g)))
                 if w is not None:
-                    layer[u][w] = Fraction(1)
-            tensor.append(tuple(tuple(row) for row in layer))
-        mult.append(tuple(tensor))
-    return GradedModule(len(gens), tuple(len(b) for b in bases), tuple(mult))
+                    layer[u][w] = 1
+            tensor.append(layer)
+        mult.append(tensor)
+    return GradedModule(len(gens), [len(b) for b in bases], mult)
 
 
 def polynomial_ring_module(n: int, top: int) -> GradedModule:
@@ -596,8 +615,7 @@ def veronese_module(d: int, top: int) -> GradedModule:
 
 
 def monomial_quotient_module(
-    n: int, top: int, generators: list[tuple[int, ...]]
-) -> GradedModule:
+        n: int, top: int, generators: list[tuple[int, ...]]) -> GradedModule:
     """Quotient of the polynomial ring by the monomial ideal with the
     given exponent-tuple ``generators`` (all of positive degree)."""
     if n < 1 or top < 1:
@@ -612,10 +630,8 @@ def monomial_quotient_module(
     def in_ideal(mono: tuple[int, ...]) -> bool:
         return any(all(m >= e for m, e in zip(mono, g)) for g in gens)
 
-    bases = [
-        [m for m in _monomials(n, j) if not in_ideal(m)]
-        for j in range(top + 1)
-    ]
+    bases = [[m for m in _monomials(n, j) if not in_ideal(m)]
+             for j in range(top + 1)]
     if any(len(b) == 0 for b in bases[:2]):
         raise ValueError("quotient has no room in degrees 0..1")
     return _monomial_module(_monomials(n, 1), bases)
@@ -635,36 +651,20 @@ def module_from_json(data) -> GradedModule:
         import json
 
         data = json.loads(data)
-    # Entries repeat ("0", "1", "-1"), and Fraction(str) dominates the
-    # load, so each distinct string is parsed once.
-    parsed: dict[str, Fraction] = {}
-
-    def entry(x) -> Fraction:
-        if type(x) is not str:
-            return _as_fraction(x)
-        if x not in parsed:
-            parsed[x] = _rational(x)
-        return parsed[x]
-
     try:
         base_dim, pieces = data["base_dim"], tuple(data["pieces"])
         if any(type(x) is not int for x in (base_dim, *pieces)):
             raise TypeError(f"non-integer size in {base_dim!r}, {pieces!r}")
-        mult = _rows(lambda row: tuple(map(entry, row)), data["mult"])
+        loaded = _load(data["mult"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc
-    return GradedModule(base_dim, pieces, mult)
+    module = GradedModule.__new__(GradedModule)
+    module._fill(base_dim, _dims(base_dim, pieces), *loaded)
+    return module
 
 
 def module_to_json(module: GradedModule) -> dict:
-    return {
-        "base_dim": module.base_dim,
-        "pieces": list(module.piece_dims),
-        "mult": [
-            [
-                [[str(x) for x in row] for row in layer]
-                for layer in tensor
-            ]
-            for tensor in module.mult
-        ],
-    }
+    mult = [[[[str(x) for x in row] for row in layer] for layer in tensor]
+            for tensor in module.mult]
+    return {"base_dim": module.base_dim, "pieces": list(module.piece_dims),
+            "mult": mult}

@@ -121,10 +121,19 @@ def _one_entry(text) -> dict:
     return {"base_dim": 1, "pieces": [1, 1], "mult": [[[[text]]]]}
 
 
+def _one_row(row) -> dict:
+    return {"base_dim": 1, "pieces": [1, len(row)], "mult": [[[row]]]}
+
+
 @FUZZ
 @given(module_data())
 @example(_one_entry("1/0"))
 @example(json.dumps(_one_entry("1e10000000")))
+# A bad entry after a nonzero one in the same row.
+@example(_one_row([0, 1, 0.0]))
+@example(_one_row(["1", True]))
+@example(_one_row([1, "1/0"]))
+@example(_one_row(["2", "1e1001"]))
 def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:

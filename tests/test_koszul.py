@@ -169,6 +169,28 @@ def rescaled(module: K.GradedModule, rng: random.Random) -> K.GradedModule:
     ))
 
 
+def generic_coordinates(module: K.GradedModule,
+                        rng: random.Random) -> K.GradedModule:
+    """``module`` with ``f_k`` replaced by ``sum_l a[k][l] f_l`` for a seeded
+    integer matrix ``a`` of determinant +-1 (unitriangular, rows and
+    columns shuffled): the actions still commute, each new ``f_k`` mixes
+    several old ones, and the differentials stop splitting into blocks."""
+    n = module.base_dim
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    a = [[0] * n for _ in range(n)]
+    for k in range(n):
+        a[rows[k]][cols[k]] = rng.choice((1, -1))
+        for m in range(k):
+            a[rows[k]][cols[m]] = rng.randint(-2, 2)
+    return K.GradedModule(n, module.piece_dims, tuple(
+        tuple(tuple(tuple(sum(a[k][l] * tensor[l][u][w] for l in range(n))
+                          for w in range(len(tensor[0][u])))
+                    for u in range(len(tensor[0])))
+              for k in range(n))
+        for tensor in module.mult
+    ))
+
+
 def around_the_constructor(base: K.GradedModule, j: int, l: int,
                            u: int) -> K.GradedModule:
     """``base`` with ``f_l`` doubled on basis vector ``u`` of ``M_j`` in
@@ -222,6 +244,23 @@ class TestGradedModule:
     def test_entries_coerced_to_fractions(self):
         m = K.polynomial_ring_module(2, 2)
         assert isinstance(m.mult[0][0][0][0], Fraction)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_bool_or_float_among_ints_is_a_type_error(self, bad):
+        # 1 == True == 1.0, so neither may be read from the slot of 1.
+        for row in ([1, bad], [bad, 1], [0, 1, bad]):
+            with pytest.raises(TypeError, match="exact rational"):
+                K.GradedModule(1, (1, len(row)), [[[row]]])
+
+    def test_int_subclasses_are_read_as_ints(self):
+        class Count(int):
+            pass
+
+        m = K.GradedModule(1, (1, 3), [[[[Count(2), 1, Count(0)]]]])
+        assert m.mult[0][0][0] == (2, 1, 0)
+        assert all(type(x) is Fraction for x in m.mult[0][0][0])
+        assert m._nonzero[0][0][0] == ((0, 2), (1, 1))
+        assert all(type(x) is int for _, x in m._nonzero[0][0][0])
 
 
 class TestKoszulMatrix:
@@ -576,18 +615,18 @@ class TestBettiTable:
 
     def test_each_differential_built_and_ranked_once(self, monkeypatch):
         built, ranked = [], []
-        build, rank = K.koszul_matrix, K.matrix_rank
+        build, rank = K._columns, K._rank_rows
 
-        def counting_build(module, i, j):
+        def counting_build(module, i, j, skip):
             built.append((i, j))
-            return build(module, i, j)
+            return build(module, i, j, skip)
 
-        def counting_rank(matrix, modulus=None, **keywords):
-            ranked.append(id(matrix))
-            return rank(matrix, modulus, **keywords)
+        def counting_rank(vectors, p=None):
+            ranked.append(id(vectors))
+            return rank(vectors, p)
 
-        monkeypatch.setattr(K, "koszul_matrix", counting_build)
-        monkeypatch.setattr(K, "matrix_rank", counting_rank)
+        monkeypatch.setattr(K, "_columns", counting_build)
+        monkeypatch.setattr(K, "_rank_rows", counting_rank)
         table = K.betti_table(K.veronese_module(4, 4), 4, 3)
         assert table[1][1:4] == [6, 8, 3]
         assert len(built) == len(set(built))
@@ -679,16 +718,95 @@ class TestDSquaredFromCommutativity:
             self, monkeypatch):
         ring = K.polynomial_ring_module(2, 3)
         module = around_the_constructor(ring, 1, 0, 1)
-        built, build = [], K.koszul_matrix
+        built, build = [], K._columns
 
-        def recording(module, i, j):
+        def recording(module, i, j, skip):
             built.append((i, j))
-            return build(module, i, j)
+            return build(module, i, j, skip)
 
-        monkeypatch.setattr(K, "koszul_matrix", recording)
+        monkeypatch.setattr(K, "_columns", recording)
         with pytest.raises(ValueError, match=r"d_\(1,1\) o d_\(2,0\)"):
             K.betti_table(module, 2, 1)
         assert built == [(0, 0), (1, 0), (0, 1), (2, 0)]
+
+
+class TestColumnBuilder:
+    """A walk builds each differential as the columns it ranks, leaving out
+    the incoming pivots, and ranks them without a ``SparseMatrix``; its
+    strands and pivots are those of ``koszul_matrix`` + ``matrix_rank``."""
+
+    def modules(self):
+        rng = random.Random(43)
+        for _ in range(6):
+            base = random_monomial_module(rng)
+            yield from (base, rescaled(base, rng),
+                        generic_coordinates(base, rng))
+
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    def test_walk_matches_the_public_matrix_path(self, monkeypatch, modulus):
+        seen, built, pivots = [], [], []
+        strands, columns, rank_rows = K._strands, K._columns, K._rank_rows
+
+        def recording_strands(*args):
+            for strand in strands(*args):
+                seen.append(strand)
+                yield strand
+
+        def recording_columns(module, i, j, skip):
+            out = columns(module, i, j, skip)
+            built.append(((i, j), set(skip), set(out)))
+            return out
+
+        def recording_rank(vectors, p=None):
+            found = rank_rows(vectors, p)
+            pivots.append(list(found))
+            return found
+
+        monkeypatch.setattr(K, "_strands", recording_strands)
+        monkeypatch.setattr(K, "_columns", recording_columns)
+        monkeypatch.setattr(K, "_rank_rows", recording_rank)
+        skipped = large = 0
+        for module in self.modules():
+            seen.clear(), built.clear(), pivots.clear()
+            n, max_j = module.base_dim, module.top_degree - 1
+            K.betti_table(module, n, max_j, modulus)
+            # one build and one elimination per differential, in step
+            assert len(built) == len(pivots) == len({c for c, *_ in built})
+            walk = {cell: (skip, kept, rows) for (cell, skip, kept), rows
+                    in zip(built, pivots)}
+            assert len(seen) == (n + 1) * (max_j + 1)
+            for (i, j), (skip, kept, rows) in walk.items():
+                # skip is exactly the incoming map's pivot list, and no
+                # skipped column is built
+                if j >= 1 and i < n:
+                    incoming_rows = walk[(i + 1, j - 1)][2]
+                    assert len(skip) == len(incoming_rows), (i, j)
+                    assert skip == set(incoming_rows), (i, j)
+                else:
+                    assert skip == set(), (i, j)
+                matrix = K.koszul_matrix(module, i, j)
+                assert kept == {c for _, c in matrix.entries} - skip, (i, j)
+                independent = []
+                K.matrix_rank(matrix, modulus, skip=skip,
+                              independent=independent)
+                assert independent == rows, (i, j)
+                skipped += len(skip)
+                large += any(abs(x) > 1 for x in matrix.entries.values())
+            for strand in seen:
+                i, j = strand.i, strand.j
+                out = K.koszul_matrix(module, i, j)
+                rank, image = K.matrix_rank(out, modulus), 0
+                if j >= 1 and i < n:
+                    incoming = K.koszul_matrix(module, i + 1, j - 1)
+                    image = K.matrix_rank(incoming, modulus)
+                    if modulus is None:
+                        assert image == rank_oracle(incoming)
+                if modulus is None:
+                    assert rank == rank_oracle(out)
+                kernel = out.ncols - rank
+                assert strand == K.KoszulStrand(i, j, kernel, image,
+                                                kernel - image)
+        assert skipped and large
 
 
 class TestSizeBudget:
@@ -704,6 +822,21 @@ class TestSizeBudget:
             raise AssertionError("a matrix was built")
 
         monkeypatch.setattr(K, "koszul_matrix", no_build)
+        with pytest.raises(ValueError, match="limit"):
+            K.betti_table(module, 20, 1)
+        with pytest.raises(ValueError, match="limit"):
+            K.koszul_cohomology(module, 20, 0)
+        with pytest.raises(ValueError, match="limit"):
+            K.green_lazarsfeld_Np(module, 20)
+
+    def test_refused_before_any_column_is_built(self, monkeypatch):
+        # The walk builds columns, not matrices.
+        module = K.module_from_json(self.WIDE)
+
+        def no_build(*args):
+            raise AssertionError("a column was built")
+
+        monkeypatch.setattr(K, "_columns", no_build)
         with pytest.raises(ValueError, match="limit"):
             K.betti_table(module, 20, 1)
         with pytest.raises(ValueError, match="limit"):
@@ -830,6 +963,16 @@ class TestSerialization:
             K.module_from_json(data)
         data["mult"] = [[[[1]]]]
         assert K.module_from_json(data).mult[0][0][0][0] == Fraction(1)
+
+    @pytest.mark.parametrize("row", [
+        [0, 1, 0.0], ["1", True], [1, "1/0"], ["2", "1e1001"],
+    ])
+    def test_bad_entry_after_a_nonzero_one(self, row):
+        data = {"base_dim": 1, "pieces": [1, len(row)], "mult": [[[row]]]}
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json(data)
+        with pytest.raises(ValueError, match="malformed module data"):
+            K.module_from_json(json.dumps(data))
 
     def test_repeated_strings_parse_like_fraction(self):
         texts = ["1", " -2 ", "3/6", "0.25", "1e2", "-0", "007"]

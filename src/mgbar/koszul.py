@@ -15,10 +15,12 @@ row.  A Betti table builds each differential once, as the column vectors
 that one sparse elimination ranks, over the integers or, in the optional
 prime-field mode, over F_p (ranks then become high-probability lower
 bounds); an elimination past ``MAX_ELIMINATION_WORK`` updates raises
-:class:`mgbar.ResourceLimitError`.  Each ``d_{i,j}`` is ranked only on a
-complement of the incoming image ``im d_{i+1,j-1}``: the columns at the
-independent rows that ranking ``d_{i+1,j-1}`` found are never built, as
-``d_{i,j}`` kills that image.
+:class:`mgbar.ResourceLimitError`.  A pivot coordinate that one column
+meets comes from a worklist and updates nothing; the others come from a
+heap by count, whose stale counts are pushed again when popped.  Each
+``d_{i,j}`` is ranked only on a complement of the incoming image
+``im d_{i+1,j-1}``: the columns at the independent rows that ranking
+``d_{i+1,j-1}`` found are never built, as ``d_{i,j}`` kills that image.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -36,7 +38,9 @@ some S, so the composite vanishes iff f_l f_m = f_m f_l on M_{j-1}; at
 i = 0, d_{0,j} has no rows and the composite is zero.  The constructor
 checks every piece, and a Betti walk checks again each piece whose
 commutativity its ranks rely on, so data assembled around the
-constructor fails closed.
+constructor fails closed.  Either check first counts the product terms
+it would visit and raises :class:`mgbar.ResourceLimitError` past
+``MAX_COMMUTATIVITY_WORK``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ __all__ = [
     "matrix_rank", "koszul_cohomology", "green_lazarsfeld_Np", "betti_table",
     "polynomial_ring_module", "veronese_module", "monomial_quotient_module",
     "module_from_json", "module_to_json", "DEFAULT_PRIME", "MAX_MATRIX_SIDE",
-    "MAX_ELIMINATION_WORK",
+    "MAX_ELIMINATION_WORK", "MAX_COMMUTATIVITY_WORK",
 ]
 
 DEFAULT_PRIME = 2**31 - 1
@@ -66,10 +70,16 @@ DEFAULT_PRIME = 2**31 - 1
 MAX_MATRIX_SIDE = 10_000
 
 # Most updates of one elimination, counted per pivot as vectors times
-# pivot-vector entries: 456 times the largest test or benchmark job
-# (4 378); a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a
+# pivot-vector entries: 498 times the largest test or benchmark job
+# (4 010); a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a
 # Xeon).
 MAX_ELIMINATION_WORK = 2_000_000
+
+# Most product terms one commutativity check of a module visits, counted
+# before any product: 158 times the largest module of the tests, demos or
+# benchmark (6 300).  Pieces [1, 1, 1] with base_dim 2 000 would need 4.0
+# million (3.2 s on a Xeon).
+MAX_COMMUTATIVITY_WORK = 1_000_000
 
 
 def _exact(x) -> int | Fraction:
@@ -183,9 +193,27 @@ class GradedModule(_Record):
     def top_degree(self) -> int:
         return len(self.piece_dims) - 1
 
+    def _bound(self, pieces) -> None:
+        """Refuse to check that ``f_l f_m = f_m f_l`` on ``pieces`` if that
+        visits more than :data:`MAX_COMMUTATIVITY_WORK` product terms: each
+        nonzero ``(w, x)`` of ``f_l u`` meets every nonzero entry of
+        ``f_m e_w``, for each ``m != l``."""
+        terms = 0
+        for j in pieces:
+            second = self._nonzero[j + 1]
+            reach = [sum(map(len, column)) for column in zip(*second)]
+            terms += sum(reach[w] - len(second[l][w])
+                         for l, layer in enumerate(self._nonzero[j])
+                         for pairs in layer for w, _ in pairs)
+        if terms > MAX_COMMUTATIVITY_WORK:
+            raise ResourceLimitError(f"commutativity check needs more than "
+                                     f"{MAX_COMMUTATIVITY_WORK} product terms")
+
     def _noncommuting(self, j: int) -> tuple[int, int, int] | None:
         """The first ``(l, m, u)`` with ``f_l f_m u != f_m f_l u`` for the
-        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``."""
+        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``; refused
+        as :meth:`_bound` says."""
+        self._bound([j])
         first, second = self._nonzero[j], self._nonzero[j + 1]
         for l, m in itertools.combinations(range(self.base_dim), 2):
             for u in range(self.piece_dims[j]):
@@ -195,7 +223,9 @@ class GradedModule(_Record):
         return None
 
     def _check_commutativity(self) -> None:
-        """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}."""
+        """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}; all
+        pieces together are refused as :meth:`_bound` says."""
+        self._bound(range(len(self.piece_dims) - 2))
         for j in range(len(self.piece_dims) - 2):
             if (found := self._noncommuting(j)) is not None:
                 l, m, u = found
@@ -334,10 +364,14 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     Each pivot vector is zero at the earlier pivot coordinates, so the
     span of the vectors projects isomorphically onto the returned ones.
     ``where`` maps each coordinate to the ids of the vectors that meet
-    it, so a pivot touches only those vectors.  The pivot coordinate has
-    the fewest vectors (lowest index on ties; heap counts may be stale
-    and are checked on pop), the pivot vector is the sparsest of them.
-    Exact vectors are cross-multiplied by the cofactors of
+    it, so a pivot touches only those vectors.  A coordinate that one
+    vector meets comes from the worklist ``ones``; that vector is the
+    pivot, and nothing is updated.  The others wait in a heap by count
+    (lowest index on ties), and a popped count that has gone stale is
+    pushed again as it is now; the pivot vector is the sparsest that
+    meets the coordinate.  Fill lands only on coordinates that a vector
+    meets already, so each live one keeps a place in ``ones`` or the
+    heap.  Exact vectors are cross-multiplied by the cofactors of
     ``gcd(pivot, entry)`` and made primitive; over F_p the pivot vector
     is scaled to a leading 1.
     """
@@ -349,27 +383,32 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     for k, vec in work.items():
         for c in vec:
             where.setdefault(c, set()).add(k)
-    heap = [(len(ks), c) for c, ks in where.items()]
+    ones = [c for c, ks in where.items() if len(ks) == 1]
+    heap = [(len(ks), c) for c, ks in where.items() if len(ks) > 1]
     heapq.heapify(heap)
     pivots = []
     updates = 0
-    while heap:
-        count, coord = heapq.heappop(heap)
-        if len(where.get(coord, ())) != count:
+    while ones or heap:
+        count, coord = (1, ones.pop()) if ones else heapq.heappop(heap)
+        if (ks := where.get(coord)) is None:
             continue
-        ks = where.pop(coord)
-        piv = min(ks, key=lambda k: (len(work[k]), k))
+        if len(ks) != count:
+            heapq.heappush(heap, (len(ks), coord))
+            continue
+        del where[coord]
+        if count == 1:
+            (piv,) = ks
+        else:
+            piv = min(ks, key=lambda k: (len(work[k]), k))
         ks.remove(piv)
         pvec = work.pop(piv)
         pval = pvec.pop(coord)
         if (updates := updates + len(ks) * len(pvec)) > MAX_ELIMINATION_WORK:
             raise ResourceLimitError(f"rank elimination needs more than "
                                      f"{MAX_ELIMINATION_WORK} vector updates")
-        if p:
+        if p and ks:
             inv = pow(pval, -1, p)
             pvec, pval = {c: v * inv % p for c, v in pvec.items()}, 1
-        for c in pvec:
-            where[c].discard(piv)
         for k in ks:
             vec = work[k]
             a, b = pval, vec.pop(coord)
@@ -397,9 +436,10 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
                 for c in vec:
                     vec[c] //= g
         for c in pvec:
-            if where[c]:
-                heapq.heappush(heap, (len(where[c]), c))
-            else:
+            (left := where[c]).discard(piv)
+            if len(left) == 1:
+                ones.append(c)
+            elif not left:
                 del where[c]
         pivots.append(coord)
     return pivots

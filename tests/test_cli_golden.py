@@ -13,7 +13,9 @@ denominators and huge decimal exponents in ``--coeffs`` (exit 1) and
 ``--tolerance`` (exit 2)) were added when those inputs started failing
 closed.  ``--tolerance abc`` was captured before that change and pins
 the message of a malformed tolerance.  The entries for a module whose
-multiplication tensors do not commute pin its refusal (exit 1).
+multiplication tensors do not commute pin its refusal (exit 1), and so
+do those for a module whose commutativity check would visit more than
+``koszul.MAX_COMMUTATIVITY_WORK`` product terms.
 
 Koszul module files are written under fixed relative names into a
 scratch working directory, because ``inputs.input`` echoes the path.
@@ -54,6 +56,11 @@ def write_modules(directory: Path) -> None:
             "base_dim": 2, "pieces": [1, 2, 3],
             "mult": [[[[1, 0]], [[0, 1]]],
                      [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 1, 0]]]],
+        },
+        # Every f_l = 1: a commutativity check of 2 000 * 1 999 terms.
+        "wide.json": {
+            "base_dim": 2000, "pieces": [1, 1, 1],
+            "mult": [[[[1]]] * 2000] * 2,
         },
     }
     for name, data in files.items():

@@ -6,8 +6,10 @@ names, literals, ``^ * + - /``, parentheses and junk) must parse to a
 ring element or raise ``ValueError``, and so must every JSON-shaped tree
 handed to :func:`mgbar.koszul.module_from_json`: well-formed modules,
 modules with one bad size or entry (floats, booleans, ``"1/0"``,
-decimal exponents, ``None``, nested containers) and arbitrary trees,
-and every divisor-class record handed to
+decimal exponents, ``None``, nested containers) and arbitrary trees
+(a module whose commutativity check is past its work bound may raise
+:class:`mgbar.ResourceLimitError` instead), and so must every
+divisor-class record handed to
 :meth:`mgbar.divclass.DivisorClass.from_json_dict` with coefficients
 drawn from the same rational strings.
 Nothing else may escape, and each case must finish within a CPU budget
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mgbar import divclass, koszul, tautring
+from mgbar import ResourceLimitError, divclass, koszul, tautring
 
 # Per-case CPU budget, far above any honest input here.
 BUDGET_S = 2.0
@@ -125,6 +127,11 @@ def _one_row(row) -> dict:
     return {"base_dim": 1, "pieces": [1, len(row)], "mult": [[[row]]]}
 
 
+def _wide(base_dim: int) -> dict:
+    return {"base_dim": base_dim, "pieces": [1, 1, 1],
+            "mult": [[[[1]]] * base_dim] * 2}
+
+
 @FUZZ
 @given(module_data())
 @example(_one_entry("1/0"))
@@ -134,12 +141,14 @@ def _one_row(row) -> dict:
 @example(_one_row(["1", True]))
 @example(_one_row([1, "1/0"]))
 @example(_one_row(["2", "1e1001"]))
+# A commutativity check of 2 000 * 1 999 product terms.
+@example(_wide(2000))
 def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:
         with cpu_budget(BUDGET_S):
             module = koszul.module_from_json(data)
-    except ValueError:
+    except (ValueError, ResourceLimitError):
         pass
     else:
         assert isinstance(module, koszul.GradedModule), data

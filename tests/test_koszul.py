@@ -423,6 +423,68 @@ class TestRanks:
             K.matrix_rank(mat, modulus=2**31 + 1)  # not prime
 
 
+def sparse_vectors(rng: random.Random, count: int, dim: int,
+                   density: float, dependent: int) -> list[dict]:
+    """``count`` seeded sparse integer vectors on ``dim`` coordinates and
+    ``dependent`` integer combinations of two of them, shuffled: the
+    combinations reduce to zero, cancelling entry by entry."""
+    vectors = [{c: rng.choice((-3, -2, -1, 1, 2, 5)) for c in range(dim)
+                if rng.random() < density} for _ in range(count)]
+    for _ in range(dependent):
+        (a, b), x, y = rng.sample(vectors, 2), rng.choice((1, -2)), 3
+        vectors.append({c: v for c in a.keys() | b.keys()
+                        if (v := x * a.get(c, 0) + y * b.get(c, 0))})
+    rng.shuffle(vectors)
+    return vectors
+
+
+class TestElimination:
+    """``_rank_rows`` returns as many pivots as the rank, and the vectors
+    restricted to the pivots are independent, as the walk's skip needs."""
+
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    @pytest.mark.parametrize("seed, count, dim, density, dependent, fill", [
+        (1, 40, 80, 0.03, 8, False),  # sparse: pivots are mostly singletons
+        (2, 30, 30, 0.3, 8, True),    # heavy fill
+        (3, 25, 20, 0.6, 12, True),   # dense and rank-deficient
+        (4, 60, 45, 0.1, 25, True),
+    ])
+    def test_pivots_against_the_oracles(self, monkeypatch, modulus, seed,
+                                        count, dim, density, dependent, fill):
+        if modulus is None:
+            oracle = rank_oracle
+        else:
+            def oracle(matrix):
+                return rank_mod_p_oracle(matrix, modulus)
+        rng = random.Random(seed)
+        for _ in range(4):
+            vectors = sparse_vectors(rng, count, dim, density, dependent)
+            matrix = K.SparseMatrix(dim, len(vectors), {
+                (c, k): v for k, vec in enumerate(vectors)
+                for c, v in vec.items()})
+            pivots = K._rank_rows([dict(vec) for vec in vectors], modulus)
+            assert len(set(pivots)) == len(pivots) == oracle(matrix)
+            assert oracle(rows_of(matrix, pivots)) == len(pivots)
+        if fill:
+            # Some pivot has other vectors to update: the heap path runs.
+            monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
+            with pytest.raises(mgbar.ResourceLimitError):
+                K._rank_rows(vectors, modulus)
+
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    def test_singleton_pivots_make_no_update(self, monkeypatch, modulus):
+        # Unit upper-triangular: each pivot coordinate meets one vector.
+        rng = random.Random(5)
+        n = 50
+        vectors = [{k: 1, **{c: v for c in range(k + 1, n)
+                             if rng.random() < 0.4
+                             and (v := rng.randint(-5, 5))}}
+                   for k in range(n)]
+        rng.shuffle(vectors)
+        monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
+        assert sorted(K._rank_rows(vectors, modulus)) == list(range(n))
+
+
 class TestCohomology:
     def test_baseline_corner(self):
         m = K.polynomial_ring_module(3, 3)
@@ -894,11 +956,57 @@ class TestWorkBudget:
         assert "Traceback" not in err
 
     def test_budget_leaves_a_factor_of_100(self):
-        # 4 378 updates: the most that one elimination of the tests or of
+        # 4 010 updates: the most that one elimination of the tests or of
         # the benchmark's workloads makes (generic coordinates, seeds
         # 1-10).  The bound keeps its factor of 100 over 15 049, the most
         # when every column was eliminated.
         assert K.MAX_ELIMINATION_WORK >= 100 * 15_049
+
+
+class TestCommutativityBound:
+    """The commutativity check counts its product terms before the first
+    product and refuses past ``MAX_COMMUTATIVITY_WORK``."""
+
+    # Every f_l = 1 on pieces [1, 1, 1]: 28 KB of JSON whose check would
+    # visit 2 000 * 1 999 terms.
+    WIDE = {"base_dim": 2000, "pieces": [1, 1, 1],
+            "mult": [[[[1]]] * 2000] * 2}
+
+    def test_a_wide_module_is_refused_quickly(self):
+        start = time.process_time()
+        with pytest.raises(mgbar.ResourceLimitError, match="product terms"):
+            K.module_from_json(json.dumps(self.WIDE))
+        assert time.process_time() - start < 1.5
+
+    def test_the_count_is_the_terms_the_check_visits(self, monkeypatch):
+        visited, product = [], K._product
+
+        def counting(pairs, layer):
+            visited.append(sum(len(layer[w]) for w, _ in pairs))
+            return product(pairs, layer)
+
+        monkeypatch.setattr(K, "_product", counting)
+        quartic = K.veronese_module(4, 4)
+        terms, data = sum(visited), K.module_to_json(quartic)
+        assert terms > 0
+        monkeypatch.setattr(K, "MAX_COMMUTATIVITY_WORK", terms)
+        assert K.module_from_json(data) == quartic
+        monkeypatch.setattr(K, "MAX_COMMUTATIVITY_WORK", terms - 1)
+        with pytest.raises(mgbar.ResourceLimitError, match="product terms"):
+            K.module_from_json(data)
+
+    def test_the_walk_recheck_is_bounded_too(self, monkeypatch):
+        quartic = K.veronese_module(4, 4)
+        monkeypatch.setattr(K, "MAX_COMMUTATIVITY_WORK", 0)
+        with pytest.raises(mgbar.ResourceLimitError, match="product terms"):
+            K.betti_table(quartic, 4, 3)
+        # At i = 0 the composite is zero and nothing is checked.
+        assert K.koszul_cohomology(quartic, 0, 1).k_dim == 0
+
+    def test_bound_leaves_a_factor_of_100(self):
+        # 6 300 terms: the largest check of a module of the tests, the
+        # demos or the benchmark's workloads (seeds 1-10).
+        assert K.MAX_COMMUTATIVITY_WORK >= 100 * 6_300
 
 
 class TestSerialization:

@@ -2,7 +2,7 @@
 
 A GradedModule packages the multiplication tables M_j x V -> M_{j+1};
 the Koszul differential is assembled from them and all ranks are exact
-(sparse elimination per connected block, or a large-prime field for
+(one sparse elimination per differential, or a large-prime field for
 quick bounds).
 """
 

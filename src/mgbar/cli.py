@@ -18,10 +18,9 @@ this module loads ``mgbar.psi`` and ``mgbar.koszul`` with the package
 reaches the other layers as ``mgbar.<layer>`` when a command first uses
 them.  ``json`` loads only for ``--json`` output and Koszul module
 input, ``hashlib`` only for the pushforward-table checksum, and no
-module uses ``dataclasses``.  The parser is built for the one command
-argv names in the normal place; argv that asks the top or group level
-for help or the version, or that they reject, is parsed by the full
-tree, so every message stays the same.
+module uses ``dataclasses``.  There is one parser tree, whose group and
+subcommand parsers are built when argparse first uses them, so any argv
+builds at most four parsers.
 """
 
 from __future__ import annotations
@@ -359,10 +358,10 @@ class _Version(argparse.Action):
 
 class _Store(argparse.Action):
     """Store one value.  Unlike argparse's own store, refuse the empty
-    list that ``--flag=--`` yields before Python 3.13."""
+    value of ``--flag=--``: ``[]`` before Python 3.13, ``"--"`` after."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
+        if values == [] or values == "--":
             raise argparse.ArgumentError(self, "expected one argument")
         setattr(namespace, self.dest, values)
 
@@ -382,32 +381,29 @@ class _Tolerance(_Store):
         setattr(namespace, self.dest, values)
 
 
-class _Reroute(Exception):
-    """argv is not a plain run of the command a cut-down tree was built for."""
+class _Branch:
+    """A group or subcommand parser, built when argparse first uses it.
 
-
-class _CutDownParser(argparse.ArgumentParser):
-    """The top or group level of a tree built for one command.
-
-    It raises :class:`_Reroute` where a parser would report an error, so
-    usage errors are reported by the full tree, whose messages list every
-    group and subcommand.
+    ``add_parser(name, build=...)`` makes one with the keyword arguments
+    of an :class:`argparse.ArgumentParser`.  The first attribute argparse
+    asks of it builds that parser and runs ``build`` on it; every
+    attribute then comes from the built parser.
     """
 
-    def error(self, message):
-        raise _Reroute
+    def __init__(self, build: Callable, **kwargs):
+        self._build, self._kwargs, self._parser = build, kwargs, None
+
+    def __getattr__(self, name: str):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._build(self._parser)
+        return getattr(self._parser, name)
 
 
-def _build_parser(only: Command | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or the tree cut down to ``only``.
-
-    The cut-down tree differs from the full one only in the choices of
-    its two subcommand levels.  So a parse it accepts routes to the same
-    subcommand parser and yields the same namespace, and an error below
-    the subcommand comes from that same parser.  Its top and group levels
-    print nothing: argv that :func:`_route` lets through cannot ask them
-    for help or the version, and they reroute errors.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Usage lines, choices and errors above
+    a subcommand need only the names below, so a parse builds the group
+    and subcommand parsers it reaches and no others."""
     # SUPPRESS keeps a subcommand's unset flag from clobbering a value
     # parsed before the subcommand; run() fills in the real defaults
     # after parsing.
@@ -424,51 +420,32 @@ def _build_parser(only: Command | None = None) -> argparse.ArgumentParser:
         "(display only; all computation stays exact)",
     )
 
-    parser = (_CutDownParser if only else argparse.ArgumentParser)(
+    def add_command(parser, command):
+        parser.set_defaults(command=command)
+        for flag, spec in command.flags:
+            parser.add_argument(flag, **{"action": _Store, **spec})
+
+    def add_group(parser, group):
+        subcommands = parser.add_subparsers(
+            dest="subcommand", required=True, parser_class=_Branch)
+        for command in COMMANDS:
+            if command.name.split()[0] == group:
+                subcommands.add_parser(
+                    command.name.split()[1], parents=[common],
+                    build=lambda p, command=command: add_command(p, command))
+
+    parser = argparse.ArgumentParser(
         prog="mgbar",
         description="Exact slope and intersection computations on the "
         "moduli space of stable curves.",
         parents=[common],
     )
     parser.add_argument("--version", action=_Version)
-    groups = parser.add_subparsers(dest="group", required=True)
-    subcommands = {}
-    for command in (only,) if only else COMMANDS:
-        group, name = command.name.split()
-        if group not in subcommands:
-            subcommands[group] = groups.add_parser(group).add_subparsers(
-                dest="subcommand", required=True,
-                parser_class=argparse.ArgumentParser,
-            )
-        p = subcommands[group].add_parser(name, parents=[common])
-        p.set_defaults(command=command)
-        for flag, spec in command.flags:
-            p.add_argument(flag, **{"action": _Store, **spec})
+    groups = parser.add_subparsers(
+        dest="group", required=True, parser_class=_Branch)
+    for group in dict.fromkeys(command.name.split()[0] for command in COMMANDS):
+        groups.add_parser(group, build=lambda p, group=group: add_group(p, group))
     return parser
-
-
-_BY_WORDS = {tuple(command.name.split()): command for command in COMMANDS}
-
-
-def _route(argv: list[str]) -> Command | None:
-    """The command argv names in the normal place: group and subcommand
-    right after any top-level ``--json`` and ``--tolerance`` flags."""
-    k = 0
-    while k < len(argv) and (argv[k] in ("--json", "--tolerance")
-                             or argv[k].startswith("--tolerance=")):
-        k += 2 if argv[k] == "--tolerance" else 1
-    return _BY_WORDS.get(tuple(argv[k:k + 2]))
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the tree of the routed command, or else the full tree."""
-    only = _route(argv)
-    if only is not None:
-        try:
-            return _build_parser(only).parse_args(argv)
-        except _Reroute:
-            pass
-    return _build_parser().parse_args(argv)
 
 
 _KEY_VALUE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*=.*", re.DOTALL)
@@ -495,7 +472,7 @@ def _inputs(command: Command, args) -> dict:
 
 def run(argv: list[str]) -> CommandResult:
     """Parse and execute; raises on domain errors, exits 2 on usage."""
-    args = _parse(_rewrite_key_value(list(argv)))
+    args = _build_parser().parse_args(_rewrite_key_value(list(argv)))
     command = args.command
     raw = command.compute(args)
     value, human = _encode(raw, getattr(args, "tolerance", None))

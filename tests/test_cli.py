@@ -1,5 +1,6 @@
 """End-to-end command line coverage, run in-process through cli.main."""
 
+import argparse
 import json
 
 import pytest
@@ -253,3 +254,14 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out == "mgbar 0.1.0 (pushforward table 624416250b2d)\n"
+
+    @pytest.mark.parametrize("action", [cli._Store, cli._Tolerance])
+    @pytest.mark.parametrize("values", [[], "--"])
+    def test_flag_equals_double_dash_is_a_missing_value(self, action, values):
+        # ``--flag=--`` gives [] before Python 3.13 and "--" from 3.13 on.
+        store = action(["--flag"], "flag")
+        namespace = argparse.Namespace()
+        with pytest.raises(argparse.ArgumentError,
+                           match="expected one argument"):
+            store(argparse.ArgumentParser(), namespace, values)
+        assert not hasattr(namespace, "flag")

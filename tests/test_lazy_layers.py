@@ -124,6 +124,22 @@ def test_a_command_loads_no_stdlib_module_it_does_not_use(
             assert name not in loaded - bare, name
 
 
+# argv, its exit code, and the most ArgumentParsers it may build: the
+# shared flags and the top level, then the one group and subcommand it
+# reaches.
+PARSER_CASES = [
+    (["bn", "rho", "22", "1", "11"], 0, 4),
+    # An error below the subcommand comes from the subcommand's parser.
+    (["bn", "rho", "22", "6"], 2, 4),
+    (["bn", "rho", "22", "1", "11", "--bogus"], 2, 4),
+    (["psi", "eval", "--help"], 0, 4),
+    (["psi", "--help"], 0, 3),
+    (["psi", "nope"], 2, 3),
+    (["--help"], 0, 2),
+    (["--json", "bogus"], 2, 2),
+]
+
+
 def test_a_routed_command_builds_one_branch_of_the_parser():
     built = []
     init = argparse.ArgumentParser.__init__
@@ -132,17 +148,16 @@ def test_a_routed_command_builds_one_branch_of_the_parser():
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    with mock.patch.object(argparse.ArgumentParser, "__init__", counting), \
-            contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["bn", "rho", "22", "1", "11"]) == 0
-    assert len(built) <= 4
-    # An error below the subcommand comes from the subcommand's parser.
-    built.clear()
-    with mock.patch.object(argparse.ArgumentParser, "__init__", counting), \
-            contextlib.redirect_stderr(io.StringIO()), \
-            pytest.raises(SystemExit):
-        cli.main(["bn", "rho", "22", "6"])
-    assert len(built) <= 4
+    for argv, code, most in PARSER_CASES:
+        built.clear()
+        with mock.patch.object(argparse.ArgumentParser, "__init__", counting), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert cli.main(argv) == code, argv
+            except SystemExit as exc:
+                assert exc.code == code, argv
+        assert len(built) <= most, (argv, built)
 
 
 def test_every_exported_name_is_its_layers_own_object():

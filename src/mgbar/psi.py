@@ -37,6 +37,9 @@ The pair sum is evaluated over its nonzero terms only:
 * splits are taken as sub-multisets ``I`` of ``rest``, each weighted by
   ``prod_v C(count_v(rest), count_v(I))``, the number of index splits
   giving it;
+* the sub-multisets are built one group of equal exponents at a time and
+  bucketed by ``sum(I) + 2 - |I| mod 3``, so each ``a`` visits only the
+  bucket of splits whose ``g1`` is integral;
 * ``(a, b, g1, I) -> (b, a, g-g1, J)`` maps terms to equal terms, so only
   ``a <= b`` is visited and the ``a < b`` terms are doubled.
 
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from . import ResourceLimitError, _Record
@@ -87,8 +90,9 @@ _MAX_DIMENSION = 200
 # Dimension bounds depth, not time: one top-level evaluation may add at
 # most this many memo entries.  A cold pand_bound(22) adds 5 549, the
 # one-point integral at genus 34 (dimension 100) 39 495; at high genus an
-# entry costs about 30 us, so `mgbar psi eval --g 60 --a 178` is refused
-# after about 1.7 s of CPU (2 CPUs, Python 3.11.7).
+# entry costs about 12 us, so `mgbar psi eval --g 60 --a 178` is refused
+# after about 0.8 s of CPU, 0.6 s of it in the recursion (2 CPUs, Python
+# 3.11.7).
 MAX_NEW_ENTRIES = 50_000
 
 
@@ -103,14 +107,20 @@ def _check_dimension(dimension: int) -> None:
 class Correlator(_Record):
     """A descendent correlator ``<tau_{a_1} ... tau_{a_n}>_g``.
 
-    Exponents are stored sorted (correlators are symmetric).  The marked
-    curve must be stable: ``2g - 2 + n > 0``.  Instances are read-only.
+    Exponents are stored sorted (correlators are symmetric).  The genus
+    and every exponent must be an ``int`` that is no ``bool`` (anything
+    else raises ``TypeError``), and the marked curve must be stable:
+    ``2g - 2 + n > 0``.  Instances are read-only.
     """
 
     _fields = ("genus", "exponents")
 
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
-        exps = tuple(sorted(int(a) for a in exponents))
+        exps = tuple(exponents)
+        for x in (genus, *exps):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"correlator data must be integers, got {x!r}")
+        exps = tuple(sorted(exps))
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         if any(a < 0 for a in exps):
@@ -190,6 +200,12 @@ def cache_clear() -> None:
 def _value(g: int, exps: tuple[int, ...]) -> int:
     """The integer ``V(g; exps)``; exps must be sorted.  Returns 0 off the cone."""
     global _hits, _misses
+    # Looked up first: only on-cone keys other than the seeds are stored.
+    key = (g, exps)
+    cached = _memo.get(key)
+    if cached is not None:
+        _hits += 1
+        return cached
     n = len(exps)
     if g < 0 or (exps and exps[0] < 0):
         return 0
@@ -202,11 +218,6 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
     if g == 1 and exps == (1,):
         return 1
 
-    key = (g, exps)
-    cached = _memo.get(key)
-    if cached is not None:
-        _hits += 1
-        return cached
     _misses += 1
     if _misses > _miss_limit:
         raise ResourceLimitError(
@@ -244,25 +255,28 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
             bumped = tuple(sorted(rest[:j] + (v + k,) + rest[j + 1 :]))
             total += count * (2 * v + 1) * _value(g, bumped)
         total *= 2
-        # Sub-multisets I of rest with J = rest - I, as (sum(I) + 2 - |I|,
-        # I, J, number of index subsets giving I).
-        splits = []
-        for chosen in product(*(range(count + 1) for _, count in groups)):
-            left = tuple(v for (v, _), t in zip(groups, chosen) for _ in range(t))
-            right = tuple(
-                v for (v, count), t in zip(groups, chosen) for _ in range(count - t)
-            )
-            ways = math.prod(
-                math.comb(count, t) for (_, count), t in zip(groups, chosen)
-            )
-            splits.append((sum(left) + 2 - len(left), left, right, ways))
+        # Sub-multisets I of rest with J = rest - I, as (I, J, number of
+        # index subsets giving I, sum(I) + 2 - |I|), built one group of
+        # equal exponents at a time and bucketed by that shift mod 3.
+        splits = [((), (), 1, 2)]
+        for v, count in groups:
+            splits = [
+                (left + (v,) * t, right + (v,) * (count - t),
+                 ways * math.comb(count, t), shift + t * (v - 1))
+                for left, right, ways, shift in splits
+                for t in range(count + 1)
+            ]
+        buckets = ([], [], [])
+        for split in splits:
+            buckets[split[3] % 3].append(split)
+        del splits  # the buckets hold every split through the recursion
         for a in range((k + 1) // 2):
             b = k - 1 - a
             term = 4 * _value(g - 1, tuple(sorted(rest + (a, b))))
-            for shift, left, right, ways in splits:
+            for left, right, ways, shift in buckets[-a % 3]:
                 # <tau_a tau_I>_{g1} is on-dimension only for this g1.
-                g1, off = divmod(a + shift, 3)
-                if off or not 0 <= g1 <= g:
+                g1 = (a + shift) // 3
+                if not 0 <= g1 <= g:
                     continue
                 lhs = _value(g1, tuple(sorted((a,) + left)))
                 if lhs:

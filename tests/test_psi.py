@@ -1,6 +1,7 @@
 """Descendent integrals: seeds, closed forms, oracles that do not share the
 recursion's pivot, the two reductions, and the recursion's work bounds."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -93,7 +94,32 @@ def pivotable_correlators(draw):
     return g, exps
 
 
+def on_dimension_pivotable(max_genus, max_points):
+    """Every on-dimension stable datum with g <= max_genus, n <= max_points
+    and largest exponent at least 2."""
+    for g in range(max_genus + 1):
+        for n in range(max(1, 3 - 2 * g), max_points + 1):
+            dim = 3 * g - 3 + n
+            for exps in itertools.combinations_with_replacement(
+                    range(dim + 1), n):
+                if sum(exps) == dim and exps[-1] >= 2:
+                    yield g, list(exps)
+
+
 class TestCorrelator:
+    @pytest.mark.parametrize("genus, exponents", [
+        (2, [2.7, 3.9]),  # int() would truncate these to <tau_2 tau_3>_2
+        (2, [2.0, 3]),
+        (2.5, [3, 4]),
+        (True, [True]),
+        (1, [True]),
+        (0, [0, 0, False]),
+        (2, ["2", 3]),
+    ])
+    def test_non_integral_data_rejected(self, genus, exponents):
+        with pytest.raises(TypeError, match="must be integers"):
+            Correlator(genus, exponents)
+
     def test_exponents_are_sorted(self):
         assert Correlator(2, (3, 1, 2)).exponents == (1, 2, 3)
 
@@ -203,6 +229,14 @@ class TestIndependentOracles:
     @given(pivotable_correlators())
     def test_dvv_pivoted_on_the_largest_exponent(self, case):
         g, exps = case
+        assert dvv_on_largest(g, exps) == val(g, *exps)
+
+    # Every such correlator up to genus 4 with five points (267 cases).  The
+    # 36 with no exponent 0 or 1 take the split sum at the top; among them
+    # the pivot meets every residue of -a mod 3, and 20 have a rest of
+    # several exponent groups.
+    @pytest.mark.parametrize("g, exps", list(on_dimension_pivotable(4, 5)))
+    def test_dvv_pivoted_on_the_largest_exponent_exhaustively(self, g, exps):
         assert dvv_on_largest(g, exps) == val(g, *exps)
 
 
@@ -345,6 +379,11 @@ class TestRecursionWork:
         # a loop over every genus of the split sum makes 652 283 calls; the
         # split sum over nonzero terms makes exactly this many
         assert calls == 31_541
+        # and the memo it leaves is pinned: counters and a checksum of every
+        # entry, so that a change of the split enumeration shows here
+        assert psi.cache_info() == (24171, 5549, 5549)
+        digest = hashlib.sha256(repr(sorted(psi._memo.items())).encode())
+        assert digest.hexdigest()[:16] == "117cb583a99c2e48"
         # the budget leaves room for four times the largest known need
         assert psi.MAX_NEW_ENTRIES >= 4 * 5549
 

@@ -11,8 +11,9 @@ that data we build the Koszul differentials
 
 and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
 by exact rank computations.  A module's entries are read in one pass per
-row.  A Betti table builds each differential once, as the column vectors
-that one sparse elimination ranks, over the integers or, in the optional
+row into a sparse view, from which the dense tensor is derived if read.
+A Betti table builds each differential once, as the column vectors that
+one sparse elimination ranks, over the integers or, in the optional
 prime-field mode, over F_p (ranks then become high-probability lower
 bounds); an elimination past ``MAX_ELIMINATION_WORK`` updates raises
 :class:`mgbar.ResourceLimitError`.  A pivot coordinate that one column
@@ -49,6 +50,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import ResourceLimitError, _Record, _rational
 
@@ -107,23 +109,22 @@ class _Memo(dict):
 
 
 def _load(mult) -> tuple[tuple, tuple]:
-    """``mult`` with ``Fraction`` entries, and its sparse view: the nonzero
-    ``(w, x)`` of each row, with integral ``x`` as ``int``.
+    """The sparse view of ``mult``, the nonzero ``(w, x)`` of each row with
+    integral ``x`` as ``int``, and the length of each row.
 
     One pass per row.  Entries repeat, so a row of only ``int``, ``str``
     and ``Fraction`` entries reads each from a memo of ``_exact``, where
     no ``bool`` or float meets an ``int``'s slot; any other row goes
     through ``_exact`` entry by entry, which raises on the first bad one.
     """
-    exact, fraction = _Memo(_exact), _Memo(Fraction)
+    exact = _Memo(_exact)
     plain = {int, str, Fraction}
 
-    def row(entries) -> tuple[tuple, tuple]:
+    def row(entries) -> tuple[tuple, int]:
         values = tuple(map(exact.__getitem__ if set(map(type, entries))
                            <= plain else _exact, entries))
-        return tuple(map(fraction.__getitem__, values)), tuple(zip(
-            itertools.compress(itertools.count(), values),
-            filter(None, values)))
+        return tuple(zip(itertools.compress(itertools.count(), values),
+                         filter(None, values))), len(values)
 
     rows = [[list(map(row, layer)) for layer in tensor] for tensor in mult]
     return tuple(tuple(tuple(tuple(pair[k] for pair in layer)
@@ -159,10 +160,10 @@ class GradedModule(_Record):
     ``mult[j][l][u][w]`` is the coefficient of the ``w``-th basis
     vector of ``M_{j+1}`` in ``f_l * u`` where ``u`` is the ``u``-th
     basis vector of ``M_j``; so ``mult[j]`` has shape
-    ``(base_dim, piece_dims[j], piece_dims[j+1])``.  The differentials
-    and the commutativity check read a private sparse view of it: the
-    nonzero ``(w, x)`` per ``(j, l, u)``, with integral ``x`` as ``int``.
-    Instances are read-only.
+    ``(base_dim, piece_dims[j], piece_dims[j+1])``.  Only a private sparse
+    view is stored, the nonzero ``(w, x)`` per ``(j, l, u)`` with integral
+    ``x`` as ``int``, which the differentials and the commutativity check
+    read; ``mult`` is derived from it on first read.  Instances are read-only.
     """
 
     _fields = ("base_dim", "piece_dims", "mult")
@@ -170,24 +171,34 @@ class GradedModule(_Record):
     def __init__(self, base_dim: int, piece_dims, mult) -> None:
         self._fill(base_dim, _dims(base_dim, piece_dims), *_load(mult))
 
-    def _fill(self, base_dim: int, dims: tuple, tensors, nonzero) -> None:
-        """Store the sizes and the loaded tensors, then check them."""
-        self.__dict__.update(base_dim=base_dim, piece_dims=dims, mult=tensors,
+    def _fill(self, base_dim: int, dims: tuple, nonzero, lengths) -> None:
+        """Store the sizes and the sparse view, then check them."""
+        self.__dict__.update(base_dim=base_dim, piece_dims=dims,
                              _nonzero=nonzero)
-        if len(tensors) != len(dims) - 1:
+        if len(lengths) != len(dims) - 1:
             raise ValueError(f"need {len(dims) - 1} multiplication tensors, "
-                             f"got {len(tensors)}")
-        for j, tensor in enumerate(tensors):
+                             f"got {len(lengths)}")
+        for j, tensor in enumerate(lengths):
             if len(tensor) != base_dim:
                 raise ValueError(f"mult[{j}] must have base_dim layers")
             for l, layer in enumerate(tensor):
                 if len(layer) != dims[j]:
                     raise ValueError(
                         f"mult[{j}][{l}] must have {dims[j]} rows")
-                if any(len(row) != dims[j + 1] for row in layer):
+                if any(length != dims[j + 1] for length in layer):
                     raise ValueError(f"mult[{j}][{l}] rows must have length "
                                      f"{dims[j + 1]}")
         self._check_commutativity()
+
+    @cached_property
+    def mult(self) -> tuple:
+        return tuple(tuple(tuple(
+            tuple(Fraction(row.get(w, 0)) for w in range(n))
+            for row in map(dict, layer)) for layer in tensor)
+            for tensor, n in zip(self._nonzero, self.piece_dims[1:]))
+
+    def _key(self) -> tuple:
+        return self.base_dim, self.piece_dims, self.mult
 
     @property
     def top_degree(self) -> int:
@@ -372,8 +383,8 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     meets the coordinate.  Fill lands only on coordinates that a vector
     meets already, so each live one keeps a place in ``ones`` or the
     heap.  Exact vectors are cross-multiplied by the cofactors of
-    ``gcd(pivot, entry)`` and made primitive; over F_p the pivot vector
-    is scaled to a leading 1.
+    ``gcd(pivot, entry)`` and made primitive; over F_p each vector takes
+    off ``entry / pivot`` times the pivot vector, which is not copied.
     """
     if p:
         vectors = [{c: v % p for c, v in vec.items() if v % p}
@@ -382,7 +393,10 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     where: dict[int, set[int]] = {}
     for k, vec in work.items():
         for c in vec:
-            where.setdefault(c, set()).add(k)
+            if (ks := where.get(c)) is None:
+                where[c] = {k}
+            else:
+                ks.add(k)
     ones = [c for c, ks in where.items() if len(ks) == 1]
     heap = [(len(ks), c) for c, ks in where.items() if len(ks) > 1]
     heapq.heapify(heap)
@@ -408,16 +422,17 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
                                      f"{MAX_ELIMINATION_WORK} vector updates")
         if p and ks:
             inv = pow(pval, -1, p)
-            pvec, pval = {c: v * inv % p for c, v in pvec.items()}, 1
         for k in ks:
             vec = work[k]
-            a, b = pval, vec.pop(coord)
-            if not p:
-                g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
-                a, b = a // g, b // g
-            if a != 1:
-                for c in vec:
-                    vec[c] *= a
+            if p:
+                b = vec.pop(coord) * inv % p
+            else:
+                b = vec.pop(coord)
+                g = math.gcd(pval, b) if pval > 0 else -math.gcd(pval, b)
+                a, b = pval // g, b // g
+                if a != 1:
+                    for c in vec:
+                        vec[c] *= a
             for c, v in pvec.items():
                 old = vec.get(c)
                 new = (old or 0) - b * v
@@ -446,10 +461,12 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
 
 
 def _check_modulus(n: int | None) -> None:
-    """Refuse a prime-field modulus ``n`` unless it exceeds 2**30 and
-    passes Miller-Rabin to the first twelve prime bases."""
+    """Refuse a prime-field modulus ``n`` unless it is an ``int`` above
+    2**30 that passes Miller-Rabin to the first twelve prime bases."""
     if n is None:
         return
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"prime-field modulus {n!r} is not an int")
     if n <= 2**30:
         raise ValueError("prime-field modulus must exceed 2**30")
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -530,7 +547,8 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     def ranked(i: int, j: int, skip=()) -> tuple:
         """``((i, j), dim ker, rank, pivots)`` of ``d_{i,j}``, ranked on
         its columns outside ``skip``, which are never built."""
-        _check_modulus(modulus)
+        if previous is None:  # the walk's first differential
+            _check_modulus(modulus)
         columns = _columns(module, i, j, set(skip)).values()
         pivots = _rank_rows(_primitive(columns), modulus)
         rank = len(pivots)

@@ -263,6 +263,112 @@ class TestGradedModule:
         assert all(type(x) is int for _, x in m._nonzero[0][0][0])
 
 
+def dense(mult) -> tuple:
+    """``mult`` as nested tuples of ``Fraction``, converted entry by entry."""
+    return tuple(tuple(tuple(tuple(Fraction(x) for x in row) for row in layer)
+                       for layer in tensor) for tensor in mult)
+
+
+# Module JSON with rational strings, negative entries and 10**1000, loaded
+# as a mapping and as JSON text; base_dim 1, so the actions commute.
+JSON_MODULES = [
+    {"base_dim": 1, "pieces": [1, 3, 2], "mult": [
+        [[["1/2", "-3", "0"]]],
+        [[["-7/3", "0"], ["0", str(10**1000)], [-10**1000, " -4/6 "]]],
+    ]},
+    {"base_dim": 1, "pieces": [2, 2], "mult": [[[[0, 0], ["-0", "0/5"]]]]},
+]
+
+
+class TestDerivedTensor:
+    """``mult`` is derived from the sparse view when it is first read and
+    equals the dense ``Fraction`` tensor of what the module was built from;
+    ``==``, ``hash``, ``repr`` and JSON follow it."""
+
+    @staticmethod
+    def built(monkeypatch, build) -> tuple[K.GradedModule, tuple]:
+        """The module ``build()`` returns, and the dense ``Fraction`` tensor
+        of the ``mult`` it handed to the loader."""
+        seen, load = [], K._load
+
+        def recording(mult):
+            seen.append(mult)
+            return load(mult)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(K, "_load", recording)
+            module = build()
+        return module, dense(seen[-1])
+
+    @staticmethod
+    def modules(monkeypatch) -> list[tuple[K.GradedModule, tuple]]:
+        rng = random.Random(31)
+        builds = [
+            lambda: K.veronese_module(1, 2), lambda: K.veronese_module(3, 3),
+            lambda: K.veronese_module(4, 4),
+            lambda: K.polynomial_ring_module(1, 3),
+            lambda: K.polynomial_ring_module(3, 3),
+            lambda: K.monomial_quotient_module(3, 3, [(1, 1, 0), (0, 0, 2)]),
+            lambda: K.monomial_quotient_module(4, 3, [(2, 0, 0, 0)]),
+            lambda: rescaled(generic_coordinates(K.veronese_module(3, 3),
+                                                 rng), rng),
+            lambda: rescaled(random_monomial_module(rng), rng),
+        ]
+        found = [TestDerivedTensor.built(monkeypatch, b) for b in builds]
+        for data in JSON_MODULES:
+            expected = dense(data["mult"])
+            found.append((K.module_from_json(data), expected))
+            found.append((K.module_from_json(json.dumps(data)), expected))
+        return found
+
+    def test_mult_is_the_dense_tensor_of_the_input(self, monkeypatch):
+        for module, expected in self.modules(monkeypatch):
+            assert "mult" not in module.__dict__
+            assert module.mult == expected
+            assert all(type(x) is Fraction for tensor in module.mult
+                       for layer in tensor for row in layer for x in row)
+            assert module.mult is module.mult
+
+    def test_records_and_json_follow_the_dense_tensor(self, monkeypatch):
+        for module, expected in self.modules(monkeypatch):
+            key = (module.base_dim, module.piece_dims, expected)
+            assert repr(module) == (
+                f"GradedModule(base_dim={key[0]!r}, piece_dims={key[1]!r}, "
+                f"mult={expected!r})")
+            assert hash(module) == hash(key)
+            again = K.GradedModule(*key)
+            assert again == module and hash(again) == hash(module)
+            data = K.module_to_json(module)
+            assert data == {"base_dim": key[0], "pieces": list(key[1]),
+                            "mult": [[[[str(x) for x in row] for row in layer]
+                                      for layer in tensor]
+                                     for tensor in expected]}
+            back = K.module_from_json(json.dumps(data))
+            assert back == module and hash(back) == hash(module)
+            assert repr(back) == repr(module)
+            assert K.module_to_json(back) == data
+
+    def test_a_walk_leaves_mult_underived(self):
+        for data in JSON_MODULES + [
+                K.module_to_json(K.veronese_module(3, 3))]:
+            module = K.module_from_json(json.dumps(data))
+            top = module.top_degree
+            for modulus in (None, K.DEFAULT_PRIME):
+                K.betti_table(module, module.base_dim, top - 1, modulus)
+                K.koszul_cohomology(module, 1, top - 1, modulus)
+            if top >= 3:
+                K.green_lazarsfeld_Np(module, 1)
+            assert "mult" not in module.__dict__
+            assert module.mult == dense(data["mult"])
+            assert "mult" in module.__dict__
+
+    def test_mult_assembled_around_the_constructor_is_kept(self):
+        base = K.polynomial_ring_module(2, 3)
+        module = around_the_constructor(base, 1, 0, 1)
+        assert module.__dict__["mult"] is base.mult
+        assert module.mult is base.mult
+
+
 class TestKoszulMatrix:
     def test_degree_one_is_the_multiplication_map(self):
         m = K.veronese_module(3, 2)
@@ -423,6 +529,51 @@ class TestRanks:
             K.matrix_rank(mat, modulus=2**31 + 1)  # not prime
 
 
+class TestModulus:
+    @pytest.mark.parametrize("modulus", [3e9, 2**31 - 1.0, "2147483647",
+                                         True])
+    def test_a_modulus_that_is_no_int_is_a_type_error(self, modulus):
+        module = K.veronese_module(3, 3)
+        with pytest.raises(TypeError, match="modulus .* is not an int"):
+            K.betti_table(module, 1, 1, modulus)
+        with pytest.raises(TypeError, match="modulus .* is not an int"):
+            K.koszul_cohomology(module, 1, 1, modulus)
+        with pytest.raises(TypeError, match="modulus .* is not an int"):
+            K.matrix_rank(K.koszul_matrix(module, 1, 0), modulus)
+
+    def test_tested_once_per_walk(self, monkeypatch):
+        calls, check = [], K._check_modulus
+
+        def counting(n):
+            calls.append(n)
+            check(n)
+
+        monkeypatch.setattr(K, "_check_modulus", counting)
+        module = K.veronese_module(4, 4)
+        table = K.betti_table(module, 4, 3, K.DEFAULT_PRIME)
+        assert table[1][1:4] == [6, 8, 3]
+        assert calls == [K.DEFAULT_PRIME]
+        calls.clear()
+        assert K.koszul_cohomology(module, 2, 1, K.DEFAULT_PRIME).k_dim == 8
+        assert calls == [K.DEFAULT_PRIME]
+
+    @pytest.mark.parametrize("modulus, message", [
+        (97, r"must exceed 2\*\*30"), (2**31 + 1, "is not prime"),
+    ])
+    def test_bad_modulus_on_noncommuting_data(self, modulus, message):
+        # A walk tests the modulus when it ranks its first differential.
+        # The table ranks d_(0,0) before it checks any piece; K_(1,1)
+        # checks piece 0 first, and K_(0,1) has no piece to check.
+        module = around_the_constructor(K.polynomial_ring_module(2, 3),
+                                        1, 0, 1)
+        with pytest.raises(ValueError, match=message):
+            K.betti_table(module, 2, 1, modulus)
+        with pytest.raises(ValueError, match="inconsistent multiplication"):
+            K.koszul_cohomology(module, 1, 1, modulus)
+        with pytest.raises(ValueError, match=message):
+            K.koszul_cohomology(module, 0, 1, modulus)
+
+
 def sparse_vectors(rng: random.Random, count: int, dim: int,
                    density: float, dependent: int) -> list[dict]:
     """``count`` seeded sparse integer vectors on ``dim`` coordinates and
@@ -470,6 +621,19 @@ class TestElimination:
             monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
             with pytest.raises(mgbar.ResourceLimitError):
                 K._rank_rows(vectors, modulus)
+
+    def test_mod_p_updates_divide_by_the_pivot(self):
+        # Dependent pairs with pivot entries other than 1: a vector reaches
+        # zero only if it takes off entry / pivot times the pivot vector.
+        p = K.DEFAULT_PRIME
+        vectors = [{0: 2, 1: 2}, {0: 3, 1: 3}, {2: 5, 3: 7, 4: 1},
+                   {2: 10, 3: 14, 4: 2}, {2: -4, 3: 3, 5: 6}]
+        matrix = K.SparseMatrix(6, len(vectors), {
+            (c, k): v for k, vec in enumerate(vectors)
+            for c, v in vec.items()})
+        pivots = K._rank_rows([dict(vec) for vec in vectors], p)
+        assert len(pivots) == rank_mod_p_oracle(matrix, p) == 3
+        assert rank_mod_p_oracle(rows_of(matrix, pivots), p) == 3
 
     @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
     def test_singleton_pivots_make_no_update(self, monkeypatch, modulus):

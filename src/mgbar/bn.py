@@ -314,6 +314,8 @@ def quadric_count(g: int, r: int, d: int) -> int:
     ``C(r+2, 2) - (2d + 1 - g)``; negative values report the corank of
     an expectedly injective restriction instead.
     """
+    if r < 0:
+        raise ValueError("quadric count needs r >= 0")
     return math.comb(r + 2, 2) - (2 * d + 1 - g)
 
 
@@ -362,15 +364,17 @@ def liaison_solve(g: int, d: int, r: int) -> LiaisonResult | _Infeasible:
     intersection of ``r - 1`` hypersurfaces of the common degree
     ``f = (r+2)/(r-2)`` (integral only for r = 3, 4, 6).  Returns the
     residual degree and genus and the intersection count, or
-    ``INFEASIBLE`` when ``f`` or the residual genus fails integrality
-    or nonnegativity.
+    ``INFEASIBLE`` when ``f`` is not integral, the residual degree is
+    negative, or the residual genus is not a nonnegative integer.  A
+    negative ``g`` or ``d`` raises ``ValueError``.
     """
     if r < 3:
         raise ValueError("liaison needs r >= 3 (r = 2 divides by zero)")
+    if g < 0 or d < 0:
+        raise ValueError("liaison needs g >= 0 and d >= 0")
     f, rem = divmod(r + 2, r - 2)
-    if rem:
+    if rem or (d_res := f ** (r - 1) - d) < 0:
         return INFEASIBLE
-    d_res = f ** (r - 1) - d
     k = (r - 1) * f - r - 1
     num = k * (d - d_res)
     g_res2 = 2 * g - num

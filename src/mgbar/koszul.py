@@ -37,11 +37,12 @@ sum, (-1)^(a+b) [f_{s_a} f_{s_b} u - f_{s_b} f_{s_a} u]_w, and every
 other entry is zero.  When 1 <= i < base_dim, every pair l < m lies in
 some S, so the composite vanishes iff f_l f_m = f_m f_l on M_{j-1}; at
 i = 0, d_{0,j} has no rows and the composite is zero.  The constructor
-checks every piece, and a Betti walk checks again each piece whose
-commutativity its ranks rely on, so data assembled around the
-constructor fails closed.  Either check first counts the product terms
-it would visit and raises :class:`mgbar.ResourceLimitError` past
-``MAX_COMMUTATIVITY_WORK``.
+checks every piece, one difference f_l f_m u - f_m f_l u per (l, m, u),
+and records the sparse view it proved.  A Betti walk asks again for each
+piece its ranks rely on: a proved view answers at once, and any other,
+as in data assembled around the constructor, is checked, so it fails
+closed.  Either check first counts the product terms it would visit and
+raises :class:`mgbar.ResourceLimitError` past ``MAX_COMMUTATIVITY_WORK``.
 """
 
 from __future__ import annotations
@@ -108,38 +109,46 @@ class _Memo(dict):
         return y
 
 
-def _load(mult) -> tuple[tuple, tuple]:
+def _load(mult) -> tuple[tuple, list]:
     """The sparse view of ``mult``, the nonzero ``(w, x)`` of each row with
-    integral ``x`` as ``int``, and the length of each row.
+    integral ``x`` as ``int``, and the length of each row, in one pass.
 
-    One pass per row.  Entries repeat, so a row of only ``int``, ``str``
-    and ``Fraction`` entries reads each from a memo of ``_exact``, where
-    no ``bool`` or float meets an ``int``'s slot; any other row goes
-    through ``_exact`` entry by entry, which raises on the first bad one.
+    Entries repeat, so a row of only ``int``, ``str`` and ``Fraction``
+    entries reads each from a memo of ``_exact``, where no ``bool`` or
+    float meets an ``int``'s slot; any other row goes through ``_exact``
+    entry by entry, which raises on the first bad one.
     """
     exact = _Memo(_exact)
     plain = {int, str, Fraction}
-
-    def row(entries) -> tuple[tuple, int]:
-        values = tuple(map(exact.__getitem__ if set(map(type, entries))
+    nonzero, lengths = [], []
+    for tensor in mult:
+        rows = [[tuple(map(exact.__getitem__ if set(map(type, entries))
                            <= plain else _exact, entries))
-        return tuple(zip(itertools.compress(itertools.count(), values),
-                         filter(None, values))), len(values)
+                 for entries in layer] for layer in tensor]
+        nonzero.append(tuple(tuple(tuple(zip(
+            itertools.compress(itertools.count(), values),
+            filter(None, values))) for values in layer) for layer in rows))
+        lengths.append([list(map(len, layer)) for layer in rows])
+    return tuple(nonzero), lengths
 
-    rows = [[list(map(row, layer)) for layer in tensor] for tensor in mult]
-    return tuple(tuple(tuple(tuple(pair[k] for pair in layer)
-                             for layer in tensor) for tensor in rows)
-                 for k in (0, 1))
 
-
-def _product(pairs, layer) -> dict:
-    """Nonzero coefficients of ``f(sum x e_w)`` over ``pairs``, where
-    ``layer[w]`` lists the nonzero ``(w', y)`` of ``f(e_w)``."""
+def _difference(pairs, layer, others, other_layer) -> dict:
+    """Coefficients, zeros kept, of ``f(sum x e_w over pairs) - g(sum x
+    e_w over others)``, where ``layer[w]`` lists the nonzero ``(w', y)``
+    of ``f(e_w)`` and ``other_layer[w]`` those of ``g(e_w)``."""
     out: dict = {}
     for w, x in pairs:
         for v, y in layer[w]:
             out[v] = out.get(v, 0) + x * y
-    return {v: c for v, c in out.items() if c}
+    for w, x in others:
+        for v, y in other_layer[w]:
+            out[v] = out.get(v, 0) - x * y
+    return out
+
+
+def _product(pairs, layer) -> dict:
+    """The nonzero coefficients of ``_difference(pairs, layer, (), ())``."""
+    return {v: c for v, c in _difference(pairs, layer, (), ()).items() if c}
 
 
 def _dims(base_dim: int, piece_dims) -> tuple[int, ...]:
@@ -222,20 +231,23 @@ class GradedModule(_Record):
 
     def _noncommuting(self, j: int) -> tuple[int, int, int] | None:
         """The first ``(l, m, u)`` with ``f_l f_m u != f_m f_l u`` for the
-        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``; refused
-        as :meth:`_bound` says."""
+        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``, at once
+        if the constructor proved this sparse view; refused as :meth:`_bound`
+        says."""
         self._bound([j])
+        if self.__dict__.get("_proved") is self._nonzero:
+            return None
         first, second = self._nonzero[j], self._nonzero[j + 1]
         for l, m in itertools.combinations(range(self.base_dim), 2):
             for u in range(self.piece_dims[j]):
-                lm = _product(first[l][u], second[m])
-                if lm != _product(first[m][u], second[l]):
+                if any(_difference(first[l][u], second[m],
+                                   first[m][u], second[l]).values()):
                     return l, m, u
         return None
 
     def _check_commutativity(self) -> None:
-        """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}; all
-        pieces together are refused as :meth:`_bound` says."""
+        """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}, all
+        pieces bounded together; the proved view is kept as ``_proved``."""
         self._bound(range(len(self.piece_dims) - 2))
         for j in range(len(self.piece_dims) - 2):
             if (found := self._noncommuting(j)) is not None:
@@ -245,6 +257,7 @@ class GradedModule(_Record):
                     f"f_{l} f_{m} != f_{m} f_{l} on basis "
                     f"vector {u} of piece {j}"
                 )
+        self.__dict__["_proved"] = self._nonzero
 
 
 class KoszulStrand(_Record):
@@ -536,8 +549,9 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     is built without the columns at the pivots of ``d_{i+1,j-1}``, valid
     as ``d_{i,j} o d_{i+1,j-1} = 0``.  For ``i >= 1`` that holds iff
     piece ``j - 1`` commutes (see the module docstring), so before the
-    first such cell ranks its outgoing map, piece ``j - 1`` is checked,
-    once per walk; at ``i = 0`` the composite is zero.
+    first such cell ranks its outgoing map, piece ``j - 1`` is checked
+    once per walk, unless the constructor proved the module's sparse
+    view; at ``i = 0`` the composite is zero.
     """
     for i, j in cells:
         _check_cell(module, i, j)
@@ -579,9 +593,9 @@ def koszul_cohomology(module: GradedModule, i: int, j: int,
 
     ``k_dim = dim ker d_{i,j} - rank d_{i+1,j-1}`` with ``M_{-1} = 0``
     and ``Wedge^{i+1} V = 0`` when ``i + 1 > base_dim``.  For ``i >= 1``
-    the composite ``d_{i,j} o d_{i+1,j-1}`` is checked to vanish first,
-    exactly, by checking that ``f_l f_m = f_m f_l`` on ``M_{j-1}``;
-    failure means the multiplication data is inconsistent.  With ``modulus``
+    the composite ``d_{i,j} o d_{i+1,j-1}`` must vanish: the constructor
+    proved ``f_l f_m = f_m f_l`` on ``M_{j-1}``, and data built around it
+    is checked here, exactly, raising if inconsistent.  With ``modulus``
     the reported ranks are high-probability lower bounds, making
     ``k_dim`` an upper bound.
     """

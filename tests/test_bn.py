@@ -193,6 +193,12 @@ class TestCounts:
         assert bn.quadric_count(14, 6, 18) == 5
         assert bn.quadric_count(22, 6, 25) == -1
 
+    @pytest.mark.parametrize("r", [-1, -2, -3, -10])
+    def test_negative_r_is_refused_by_name(self, r):
+        with pytest.raises(ValueError, match=r"quadric count needs r >= 0"):
+            bn.quadric_count(14, r, 18)
+        assert bn.quadric_count(0, 0, 0) == 0  # r = 0 is accepted
+
 
 class TestSeveri:
     def test_feasible_genus_ten(self):
@@ -242,6 +248,31 @@ class TestLiaison:
     def test_small_r_is_an_error(self):
         with pytest.raises(ValueError):
             bn.liaison_solve(3, 5, 2)
+
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_negative_residual_degree_is_infeasible(self, r):
+        # The complete intersection has degree f^(r-1); a curve of higher
+        # degree does not lie on it.
+        f = (r + 2) // (r - 2)
+        top, k = f ** (r - 1), (r - 1) * f - r - 1
+        assert bn.liaison_solve(200, top + 5, r) is bn.INFEASIBLE
+        assert bn.liaison_solve(k * top, top + 1, r) is bn.INFEASIBLE
+        # Degree f^(r-1) itself links to the empty residual, genus 0.
+        edge = bn.liaison_solve(k * top // 2, top, r)
+        assert (edge.d_res, edge.g_res) == (0, 0)
+
+    @pytest.mark.parametrize("g, d", [(-3, 5), (3, -5), (-1, -1)])
+    def test_negative_genus_or_degree_is_an_error(self, g, d):
+        with pytest.raises(ValueError, match=r"g >= 0 and d >= 0"):
+            bn.liaison_solve(g, d, 3)
+
+    def test_every_result_is_nonnegative(self):
+        for r in (3, 4, 6):
+            for d in range(0, 40):
+                for g in range(0, 40):
+                    link = bn.liaison_solve(g, d, r)
+                    if link is not bn.INFEASIBLE:
+                        assert link.d_res >= 0 and link.g_res >= 0
 
     def test_residuation_is_an_involution(self):
         rng = random.Random(3)

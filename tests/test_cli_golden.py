@@ -15,7 +15,10 @@ closed.  ``--tolerance abc`` was captured before that change and pins
 the message of a malformed tolerance.  The entries for a module whose
 multiplication tensors do not commute pin its refusal (exit 1), and so
 do those for a module whose commutativity check would visit more than
-``koszul.MAX_COMMUTATIVITY_WORK`` product terms.
+``koszul.MAX_COMMUTATIVITY_WORK`` product terms.  The ``bn liaison``
+entries with a negative residual degree (``INFEASIBLE``) or a negative
+``g`` or ``d`` (exit 1), and the ``bn quadrics`` entries with ``r < 0``
+(exit 1), pin those refusals.
 
 Koszul module files are written under fixed relative names into a
 scratch working directory, because ``inputs.input`` echoes the path.

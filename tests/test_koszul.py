@@ -8,9 +8,11 @@ incoming image — is compared against; products are compared against a
 dense row-by-column sum.
 """
 
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -956,6 +958,100 @@ class TestDSquaredFromCommutativity:
         assert built == [(0, 0), (1, 0), (0, 1), (2, 0)]
 
 
+class TestProofRecord:
+    """The constructor records the sparse view it proved commutative, so a
+    walk over that view makes no products; any other view is checked."""
+
+    QUARTIC_TABLE = TestDSquaredFromCommutativity.QUARTIC_TABLE
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of ``_noncommuting`` by piece, and the differences that
+        the commutativity check forms."""
+        calls = {"pieces": [], "differences": 0}
+        noncommuting, difference = K.GradedModule._noncommuting, K._difference
+
+        def counting_check(module, j):
+            calls["pieces"].append(j)
+            return noncommuting(module, j)
+
+        def counting_difference(*args):
+            calls["differences"] += 1
+            return difference(*args)
+
+        monkeypatch.setattr(K.GradedModule, "_noncommuting", counting_check)
+        monkeypatch.setattr(K, "_difference", counting_difference)
+        return calls
+
+    def walk(self, module, calls) -> None:
+        """The quartic's table, two cells and N_4, each with the pieces
+        the walk asks about, exactly and mod p."""
+        for modulus in (None, K.DEFAULT_PRIME):
+            calls["pieces"].clear()
+            assert K.betti_table(module, 4, 3, modulus) == self.QUARTIC_TABLE
+            assert calls["pieces"] == [0, 1, 2]
+            calls["pieces"].clear()
+            assert K.koszul_cohomology(module, 2, 1, modulus) == \
+                K.KoszulStrand(2, 1, 18, 10, 8)
+            assert calls["pieces"] == [0]
+            calls["pieces"].clear()
+            assert K.koszul_cohomology(module, 0, 1, modulus) == \
+                K.KoszulStrand(0, 1, 5, 5, 0)
+            assert calls["pieces"] == []
+        calls["pieces"].clear()
+        assert K.green_lazarsfeld_Np(module, 4)
+        assert calls["pieces"] == [1]
+
+    def test_a_proved_module_makes_no_products(self, counted):
+        quartic = K.veronese_module(4, 4)
+        loaded = K.module_from_json(json.dumps(K.module_to_json(quartic)))
+        assert counted["differences"] > 0  # both constructors checked
+        for module in (quartic, loaded):
+            counted["differences"] = 0
+            self.walk(module, counted)
+            assert counted["differences"] == 0
+
+    def test_an_equal_view_that_was_not_proved_is_checked(self, counted):
+        quartic = K.veronese_module(4, 4)
+        module = K.GradedModule.__new__(K.GradedModule)
+        module.__dict__.update(quartic.__dict__,
+                               _nonzero=tuple(list(quartic._nonzero)))
+        assert module._nonzero == quartic._nonzero
+        assert module._nonzero is not quartic._nonzero
+        counted["differences"] = 0
+        self.walk(module, counted)
+        assert counted["differences"] > 0
+
+    def test_a_swapped_view_is_checked_and_refused(self):
+        # The whole __dict__ of a proved module, record included, around a
+        # view in which f_0 f_1 != f_1 f_0 on M_0.
+        base = K.polynomial_ring_module(2, 3)
+        bad = around_the_constructor(base, 1, 0, 1)
+        module = K.GradedModule.__new__(K.GradedModule)
+        module.__dict__.update(base.__dict__, _nonzero=bad._nonzero)
+        assert "_proved" in module.__dict__
+        message = r"inconsistent multiplication data: d_\(1,1\) o d_\(2,0\)"
+        for modulus in (None, K.DEFAULT_PRIME):
+            with pytest.raises(ValueError, match=message):
+                K.betti_table(module, 2, 1, modulus)
+            with pytest.raises(ValueError, match=message):
+                K.koszul_cohomology(module, 1, 1, modulus)
+        assert module._noncommuting(0) == (0, 1, 0)
+        assert base._noncommuting(0) is None
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_the_record(self, clone, counted):
+        quartic = K.veronese_module(4, 4)
+        for module in (quartic, K.module_from_json(K.module_to_json(quartic))):
+            twin = clone(module)
+            assert twin == module
+            counted["differences"] = 0
+            self.walk(twin, counted)
+            assert counted["differences"] == 0
+
+
 class TestColumnBuilder:
     """A walk builds each differential as the columns it ranks, leaving out
     the incoming pivots, and ranks them without a ``SparseMatrix``; its
@@ -1143,13 +1239,14 @@ class TestCommutativityBound:
         assert time.process_time() - start < 1.5
 
     def test_the_count_is_the_terms_the_check_visits(self, monkeypatch):
-        visited, product = [], K._product
+        visited, difference = [], K._difference
 
-        def counting(pairs, layer):
-            visited.append(sum(len(layer[w]) for w, _ in pairs))
-            return product(pairs, layer)
+        def counting(pairs, layer, others, other_layer):
+            visited.append(sum(len(layer[w]) for w, _ in pairs)
+                           + sum(len(other_layer[w]) for w, _ in others))
+            return difference(pairs, layer, others, other_layer)
 
-        monkeypatch.setattr(K, "_product", counting)
+        monkeypatch.setattr(K, "_difference", counting)
         quartic = K.veronese_module(4, 4)
         terms, data = sum(visited), K.module_to_json(quartic)
         assert terms > 0

@@ -40,9 +40,10 @@ i = 0, d_{0,j} has no rows and the composite is zero.  The constructor
 checks every piece, one difference f_l f_m u - f_m f_l u per (l, m, u),
 and records the sparse view it proved.  A Betti walk asks again for each
 piece its ranks rely on: a proved view answers at once, and any other,
-as in data assembled around the constructor, is checked, so it fails
-closed.  Either check first counts the product terms it would visit and
-raises :class:`mgbar.ResourceLimitError` past ``MAX_COMMUTATIVITY_WORK``.
+as in data assembled around the constructor, is checked and fails
+closed.  A check first counts the product terms it would visit, each
+piece once, and raises :class:`mgbar.ResourceLimitError` past
+``MAX_COMMUTATIVITY_WORK``.
 """
 
 from __future__ import annotations
@@ -146,11 +147,6 @@ def _difference(pairs, layer, others, other_layer) -> dict:
     return out
 
 
-def _product(pairs, layer) -> dict:
-    """The nonzero coefficients of ``_difference(pairs, layer, (), ())``."""
-    return {v: c for v, c in _difference(pairs, layer, (), ()).items() if c}
-
-
 def _dims(base_dim: int, piece_dims) -> tuple[int, ...]:
     """The piece dimensions, once they and ``base_dim`` pass the checks."""
     if base_dim < 1:
@@ -230,13 +226,16 @@ class GradedModule(_Record):
                                      f"{MAX_COMMUTATIVITY_WORK} product terms")
 
     def _noncommuting(self, j: int) -> tuple[int, int, int] | None:
-        """The first ``(l, m, u)`` with ``f_l f_m u != f_m f_l u`` for the
-        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``, at once
-        if the constructor proved this sparse view; refused as :meth:`_bound`
-        says."""
-        self._bound([j])
+        """:meth:`_first_difference` on piece ``j``, refused as :meth:`_bound`
+        says, or ``None`` at once if the constructor proved this view."""
         if self.__dict__.get("_proved") is self._nonzero:
             return None
+        self._bound([j])
+        return self._first_difference(j)
+
+    def _first_difference(self, j: int) -> tuple[int, int, int] | None:
+        """The first ``(l, m, u)`` with ``f_l f_m u != f_m f_l u`` for the
+        ``u``-th basis vector of ``M_j`` (``l < m``), or ``None``."""
         first, second = self._nonzero[j], self._nonzero[j + 1]
         for l, m in itertools.combinations(range(self.base_dim), 2):
             for u in range(self.piece_dims[j]):
@@ -248,15 +247,14 @@ class GradedModule(_Record):
     def _check_commutativity(self) -> None:
         """Hard error unless f_l f_m = f_m f_l as maps M_j -> M_{j+2}, all
         pieces bounded together; the proved view is kept as ``_proved``."""
-        self._bound(range(len(self.piece_dims) - 2))
-        for j in range(len(self.piece_dims) - 2):
-            if (found := self._noncommuting(j)) is not None:
+        pieces = range(len(self.piece_dims) - 2)
+        self._bound(pieces)
+        for j in pieces:
+            if (found := self._first_difference(j)) is not None:
                 l, m, u = found
-                raise ValueError(
-                    "multiplication tensors do not commute: "
-                    f"f_{l} f_{m} != f_{m} f_{l} on basis "
-                    f"vector {u} of piece {j}"
-                )
+                raise ValueError("multiplication tensors do not commute: "
+                                 f"f_{l} f_{m} != f_{m} f_{l} on basis "
+                                 f"vector {u} of piece {j}")
         self.__dict__["_proved"] = self._nonzero
 
 
@@ -295,12 +293,9 @@ class SparseMatrix(_Record):
                 clean[(r, c)] = v
         self.__dict__.update(nrows=nrows, ncols=ncols, entries=clean)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Matrix product ``self @ other``, one column of it at a time;
-        only the nonzero sums reach the validating constructor."""
+        """Matrix product ``self @ other``, one column of it at a time; the
+        validating constructor drops the sums that cancel."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in composition")
         left: list[list] = [[] for _ in range(self.ncols)]
@@ -310,7 +305,7 @@ class SparseMatrix(_Record):
         for (mid, c), v in other.entries.items():
             right.setdefault(c, []).append((mid, v))
         entries = {(r, c): x for c, pairs in right.items()
-                   for r, x in _product(pairs, left).items()}
+                   for r, x in _difference(pairs, left, (), ()).items()}
         return SparseMatrix(self.nrows, other.ncols, entries)
 
 
@@ -369,9 +364,7 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
     nrows, ncols = _check_cell(module, i, j)
     entries = {(r, c): x for c, column in _columns(module, i, j, ()).items()
                for r, x in column.items()}
-    matrix = SparseMatrix.__new__(SparseMatrix)
-    matrix.__dict__.update(nrows=nrows, ncols=ncols, entries=entries)
-    return matrix
+    return SparseMatrix(nrows, ncols, entries)
 
 
 # ---------------------------------------------------------------------
@@ -507,30 +500,15 @@ def _primitive(columns) -> list[dict]:
     return vectors
 
 
-def matrix_rank(matrix: SparseMatrix, modulus: int | None = None, *,
-                skip=(), independent: list | None = None) -> int:
+def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
     """Exact rank, or rank over F_modulus (a lower bound on the exact
-    rank, sharp for all but finitely many primes), by one elimination
-    of the primitive integer columns of ``matrix``, each as a vector.
-
-    Columns in ``skip`` are left out, so the result is the rank of the
-    other columns.  That is the rank of ``matrix`` when the image of a
-    map ``A`` with ``matrix @ A == 0`` projects isomorphically onto the
-    coordinates ``skip``, as it does onto the rows that ranking ``A``
-    reports as independent.  ``independent``, when given, receives the
-    elimination's pivot coordinates: row indices of ``matrix`` whose rows
-    are independent, as many as the returned rank.
-    """
+    rank, sharp for all but finitely many primes), by the elimination a
+    Betti walk runs, of the primitive integer columns of ``matrix``."""
     _check_modulus(modulus)
-    skip = set(skip)
     by_col: dict[int, dict] = {}
     for (r, c), v in matrix.entries.items():
-        if c not in skip:
-            by_col.setdefault(c, {})[r] = v
-    pivots = _rank_rows(_primitive(by_col.values()), modulus)
-    if independent is not None:
-        independent.extend(pivots)
-    return len(pivots)
+        by_col.setdefault(c, {})[r] = v
+    return len(_rank_rows(_primitive(by_col.values()), modulus))
 
 
 # ---------------------------------------------------------------------

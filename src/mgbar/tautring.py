@@ -147,13 +147,6 @@ class RingElement:
 
     # -- basic queries ------------------------------------------------
 
-    def coefficient(self, key: Key) -> Fraction:
-        reduced = _reduce_term(tuple(key), Fraction(1))
-        if reduced is None:
-            return Fraction(0)
-        rkey, rcoeff = reduced
-        return self._terms.get(rkey, Fraction(0)) / rcoeff
-
     def degrees(self) -> set[int]:
         """Set of complex degrees present among the terms."""
         return {_key_degree(k) for k in self._terms}

@@ -16,12 +16,15 @@ A Betti table builds each differential once, as the column vectors that
 one sparse elimination ranks, over the integers or, in the optional
 prime-field mode, over F_p (ranks then become high-probability lower
 bounds); an elimination past ``MAX_ELIMINATION_WORK`` updates raises
-:class:`mgbar.ResourceLimitError`.  A pivot coordinate that one column
-meets comes from a worklist and updates nothing; the others come from a
-heap by count, whose stale counts are pushed again when popped.  Each
-``d_{i,j}`` is ranked only on a complement of the incoming image
-``im d_{i+1,j-1}``: the columns at the independent rows that ranking
-``d_{i+1,j-1}`` found are never built, as ``d_{i,j}`` kills that image.
+:class:`mgbar.ResourceLimitError`.  An elimination first peels, in at
+most ``_PEEL_PASSES`` passes over per-row counts, each column that meets
+a row no other remaining column meets; it is a pivot and updates nothing.
+Only the columns left, the core, are indexed by row, and their pivots
+come from one heap by count, whose stale counts are pushed again when
+popped.  Each ``d_{i,j}`` is ranked only on a complement of the incoming
+image ``im d_{i+1,j-1}``: the columns at the independent rows that
+ranking ``d_{i+1,j-1}`` found are never built, as ``d_{i,j}`` kills that
+image.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -51,6 +54,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -74,10 +78,15 @@ DEFAULT_PRIME = 2**31 - 1
 MAX_MATRIX_SIDE = 10_000
 
 # Most updates of one elimination, counted per pivot as vectors times
-# pivot-vector entries: 498 times the largest test or benchmark job
-# (4 010); a dense random 245 x 245 matrix needs 4.8 million (8.6 s on a
-# Xeon).
+# pivot-vector entries: 449 times the largest elimination of the tests,
+# demos or benchmark (4 452, generic coordinates); a dense random
+# 245 x 245 matrix needs 4.8 million (8.6 s on a Xeon).
 MAX_ELIMINATION_WORK = 2_000_000
+
+# Most passes of an elimination's singleton peel.  A chain whose vectors
+# come in reverse order peels one vector per pass, so without a cap its
+# peel is quadratic; the heap takes whatever is left.
+_PEEL_PASSES = 4
 
 # Most product terms one commutativity check of a module visits, counted
 # before any product: 158 times the largest module of the tests, demos or
@@ -100,13 +109,10 @@ def _exact(x) -> int | Fraction:
 
 
 class _Memo(dict):
-    """``f(x)`` for each distinct ``x``, computed on its first lookup."""
-
-    def __init__(self, f) -> None:
-        self.f = f
+    """``_exact(x)`` for each distinct ``x``, computed on its first lookup."""
 
     def __missing__(self, x):
-        self[x] = y = self.f(x)
+        self[x] = y = _exact(x)
         return y
 
 
@@ -119,7 +125,7 @@ def _load(mult) -> tuple[tuple, list]:
     float meets an ``int``'s slot; any other row goes through ``_exact``
     entry by entry, which raises on the first bad one.
     """
-    exact = _Memo(_exact)
+    exact = _Memo()
     plain = {int, str, Fraction}
     nonzero, lengths = [], []
     for tensor in mult:
@@ -380,14 +386,21 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
 
     Each pivot vector is zero at the earlier pivot coordinates, so the
     span of the vectors projects isomorphically onto the returned ones.
-    ``where`` maps each coordinate to the ids of the vectors that meet
-    it, so a pivot touches only those vectors.  A coordinate that one
-    vector meets comes from the worklist ``ones``; that vector is the
-    pivot, and nothing is updated.  The others wait in a heap by count
-    (lowest index on ties), and a popped count that has gone stale is
-    pushed again as it is now; the pivot vector is the sparsest that
-    meets the coordinate.  Fill lands only on coordinates that a vector
-    meets already, so each live one keeps a place in ``ones`` or the
+    First the singletons are peeled: ``counts`` holds how many vectors
+    meet each coordinate, and a pass over the vectors in order makes a
+    vector that meets a coordinate of count 1 the pivot at the first
+    such coordinate, removes it and lowers the counts of its others; it
+    updates nothing.  The passes stop when one peels nothing, or after
+    ``_PEEL_PASSES``, so a chain peeled one vector per pass stays
+    O(nnz).  Only the vectors left, the core, enter ``where``, which maps
+    each coordinate to the ids of the core vectors that meet it, so a
+    pivot touches only those vectors.  One heap holds the coordinates by
+    the counts the peel leaves (lowest index on ties); a popped count
+    that has gone stale is pushed again as it is now, and a coordinate
+    whose count falls to 1 is pushed as ``(1, c)``, so it pops first.
+    The pivot vector is the sparsest that meets the coordinate.  No core
+    vector meets a peeled pivot, and fill lands only on coordinates that
+    a core vector meets already, so each live one keeps a place in the
     heap.  Exact vectors are cross-multiplied by the cofactors of
     ``gcd(pivot, entry)`` and made primitive; over F_p each vector takes
     off ``entry / pivot`` times the pivot vector, which is not copied.
@@ -396,30 +409,37 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
         vectors = [{c: v % p for c, v in vec.items() if v % p}
                    for vec in vectors]
     work = {k: vec for k, vec in enumerate(vectors) if vec}
-    where: dict[int, set[int]] = {}
+    # Counted in C; a plain dict is looked up faster than a Counter.
+    counts = dict(Counter(itertools.chain.from_iterable(work.values())))
+    pivots = []
+    for _ in range(_PEEL_PASSES):
+        peeled = len(pivots)
+        for k, vec in list(work.items()):
+            for coord in vec:
+                if counts[coord] == 1:
+                    del work[k]
+                    pivots.append(coord)
+                    for c in vec:
+                        counts[c] -= 1
+                    break
+        if len(pivots) == peeled:
+            break
+    where = {c: set() for c, n in counts.items() if n}
     for k, vec in work.items():
         for c in vec:
-            if (ks := where.get(c)) is None:
-                where[c] = {k}
-            else:
-                ks.add(k)
-    ones = [c for c, ks in where.items() if len(ks) == 1]
-    heap = [(len(ks), c) for c, ks in where.items() if len(ks) > 1]
+            where[c].add(k)
+    heap = [(n, c) for c, n in counts.items() if n]
     heapq.heapify(heap)
-    pivots = []
     updates = 0
-    while ones or heap:
-        count, coord = (1, ones.pop()) if ones else heapq.heappop(heap)
+    while heap:
+        count, coord = heapq.heappop(heap)
         if (ks := where.get(coord)) is None:
             continue
         if len(ks) != count:
             heapq.heappush(heap, (len(ks), coord))
             continue
         del where[coord]
-        if count == 1:
-            (piv,) = ks
-        else:
-            piv = min(ks, key=lambda k: (len(work[k]), k))
+        piv = min(ks, key=lambda k: (len(work[k]), k))
         ks.remove(piv)
         pvec = work.pop(piv)
         pval = pvec.pop(coord)
@@ -459,7 +479,7 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
         for c in pvec:
             (left := where[c]).discard(piv)
             if len(left) == 1:
-                ones.append(c)
+                heapq.heappush(heap, (1, c))
             elif not left:
                 del where[c]
         pivots.append(coord)

@@ -270,17 +270,19 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
         for split in splits:
             buckets[split[3] % 3].append(split)
         del splits  # the buckets hold every split through the recursion
+        # a <= b <= a_pick - 2 < min(rest), and left and right are built
+        # in group order, so every key below is sorted as it is built.
         for a in range((k + 1) // 2):
             b = k - 1 - a
-            term = 4 * _value(g - 1, tuple(sorted(rest + (a, b))))
+            term = 4 * _value(g - 1, (a, b) + rest)
             for left, right, ways, shift in buckets[-a % 3]:
                 # <tau_a tau_I>_{g1} is on-dimension only for this g1.
                 g1 = (a + shift) // 3
                 if not 0 <= g1 <= g:
                     continue
-                lhs = _value(g1, tuple(sorted((a,) + left)))
+                lhs = _value(g1, (a,) + left)
                 if lhs:
-                    term += ways * lhs * _value(g - g1, tuple(sorted((b,) + right)))
+                    term += ways * lhs * _value(g - g1, (b,) + right)
             # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
             total += term if a == b else 2 * term
 

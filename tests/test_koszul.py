@@ -664,6 +664,57 @@ class TestElimination:
         monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
         assert sorted(K._rank_rows(vectors, modulus)) == list(range(n))
 
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    def test_a_reversed_chain_stays_linear(self, modulus):
+        # Only coordinate n is met once, by the last vector; each pivot
+        # leaves the next coordinate down met once, by an earlier vector,
+        # so a peel in vector order finds one pivot per pass.  The capped
+        # peel hands the chain to the heap; an uncapped one makes n passes
+        # (about 3 s on a Xeon).
+        n = 5_000
+        vectors = [{i: 1, i + 1: 1} for i in range(n)] + [{0: 1, 1: 2}]
+        start = time.process_time()
+        pivots = K._rank_rows(vectors, modulus)
+        assert time.process_time() - start < 0.5
+        assert sorted(pivots) == list(range(n + 1))
+
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cascading_peels_against_the_oracles(self, modulus, seed):
+        # Vector k meets coordinate k and a few below it, and a dependent
+        # core lives on the lowest coordinates: peeling the top vector
+        # leaves the next coordinate down met once, and so on, a cascade
+        # that for some seeds runs deeper than the peel's passes and that
+        # ends in the core.
+        if modulus is None:
+            oracle = rank_oracle
+        else:
+            def oracle(matrix):
+                return rank_mod_p_oracle(matrix, modulus)
+        rng = random.Random(seed)
+        dim, low = 36, 8
+        vectors = [{k: rng.choice((-2, -1, 1, 3)),
+                    **{c: rng.choice((-1, 1, 2)) for c in range(k)
+                       if rng.random() < (0.5 if c == k - 1 else 0.1)}}
+                   for k in range(low, dim)]
+        vectors += sparse_vectors(rng, 6, low, 0.5, 4)
+        rng.shuffle(vectors)
+        matrix = K.SparseMatrix(dim, len(vectors), {
+            (c, k): v for k, vec in enumerate(vectors)
+            for c, v in vec.items()})
+        pivots = K._rank_rows([dict(vec) for vec in vectors], modulus)
+        assert len(set(pivots)) == len(pivots) == oracle(matrix)
+        assert oracle(rows_of(matrix, pivots)) == len(pivots)
+
+    @pytest.mark.parametrize("modulus", [None, K.DEFAULT_PRIME])
+    def test_a_signed_permutation_is_peeled_whole(self, monkeypatch,
+                                                  modulus):
+        rng = random.Random(7)
+        n = 200
+        vectors = [{c: rng.choice((-1, 1))} for c in rng.sample(range(n), n)]
+        monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
+        assert sorted(K._rank_rows(vectors, modulus)) == list(range(n))
+
 
 class TestCohomology:
     def test_baseline_corner(self):
@@ -1229,10 +1280,10 @@ class TestWorkBudget:
         assert "Traceback" not in err
 
     def test_budget_leaves_a_factor_of_100(self):
-        # 4 010 updates: the most that one elimination of the tests or of
-        # the benchmark's workloads makes (generic coordinates, seeds
-        # 1-10).  The bound keeps its factor of 100 over 15 049, the most
-        # when every column was eliminated.
+        # 4 452 updates: the most that one elimination of the tests, the
+        # demos or the benchmark's workloads makes (generic coordinates,
+        # seeds 1-10, exactly and mod p).  The bound keeps its factor of
+        # 100 over 15 049, the most when every column was eliminated.
         assert K.MAX_ELIMINATION_WORK >= 100 * 15_049
 
 

@@ -387,6 +387,37 @@ class TestRecursionWork:
         # the budget leaves room for four times the largest known need
         assert psi.MAX_NEW_ENTRIES >= 4 * 5549
 
+    def test_every_key_is_sorted_as_built(self, monkeypatch):
+        """``_value`` builds the keys of its DVV pair sum, ``(a, b) + rest``,
+        ``(a,) + left`` and ``(b,) + right``, without sorting them: the
+        pivot is the smallest exponent, so ``a <= b <= a_pick - 2 <
+        min(rest)``, and ``left``/``right`` come in group order.  An
+        unsorted key would be a second memo entry for one correlator, or
+        reach the recursion with its pivot not the smallest exponent."""
+        psi.cache_clear()
+        original = psi._value
+        calls = 0
+
+        def checked(g, exps):
+            nonlocal calls
+            calls += 1
+            assert type(exps) is tuple and list(exps) == sorted(exps), exps
+            return original(g, exps)
+
+        monkeypatch.setattr(psi, "_value", checked)
+        assert psi.pand_bound(12) == Fraction(15, 4)
+        for g in range(6):
+            for n in range(1, 5):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                dim = 3 * g - 3 + n
+                for exps in itertools.combinations_with_replacement(
+                        range(dim + 1), n):
+                    if sum(exps) == dim:
+                        val(g, *exps)
+        assert calls > 1000
+        psi.cache_clear()
+
     def test_memo_holds_integers(self):
         psi.cache_clear()
         assert psi.pand_bound(12) == Fraction(15, 4)

@@ -17,8 +17,9 @@ this module loads ``mgbar.psi`` and ``mgbar.koszul`` with the package
 (deferring them would move their load into the first library call) and
 reaches the other layers as ``mgbar.<layer>`` when a command first uses
 them.  ``json`` loads only for ``--json`` output and Koszul module
-input, ``hashlib`` only for the pushforward-table checksum, and no
-module uses ``dataclasses``.  There is one parser tree, whose group and
+input, no process loads ``hashlib`` or OpenSSL (the pushforward-table
+checksum uses CPython's builtin SHA-256), and no module uses
+``dataclasses``.  There is one parser tree, whose group and
 subcommand parsers are built when argparse first uses them, so any argv
 builds at most four parsers.
 """

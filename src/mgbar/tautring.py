@@ -413,12 +413,26 @@ class PushforwardTable(NamedTuple):
             )
 
     def checksum(self) -> str:
-        import hashlib
+        """SHA-256 hex digest of the entries' canonical text.
+
+        The canonical text is ``e1,e2,e3=q`` for each entry in sorted
+        order, joined by ``;``.  ``sha256`` comes from CPython's builtin
+        module (``_sha2`` from 3.12, ``_sha256`` before), as ``random``
+        does for ``sha512``: ``hashlib`` would load OpenSSL to hash a few
+        hundred bytes, so it is only the fallback when neither imports.
+        """
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
 
         canonical = ";".join(
             f"{k[0]},{k[1]},{k[2]}={v}" for k, v in sorted(self.entries.items())
         )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(canonical.encode()).hexdigest()
 
 
 def _harris_tu(exps: tuple[int, ...], g: int, r: int, d: int) -> Fraction:

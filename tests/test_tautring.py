@@ -1,11 +1,14 @@
 """Coefficient-ring normal form, pushforwards, and the degeneracy totals."""
 
+import hashlib
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +205,36 @@ class TestPushforwardTable:
         table = tr.load_table()
         table.verify()
         assert table.checksum()[:12] == "624416250b2d"
+
+    @staticmethod
+    def real_and_tampered():
+        real = dict(tr.load_table().entries)
+        tampered = dict(real)
+        tampered[(0, 2, 0)] += 1
+        return real, tampered
+
+    @staticmethod
+    def sha256_of_canonical_text(entries):
+        text = ";".join(
+            f"{e1},{e2},{e3}={q}" for (e1, e2, e3), q in sorted(entries.items())
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_checksum_is_the_sha256_of_the_canonical_text(self):
+        real, tampered = self.real_and_tampered()
+        for entries in (real, tampered):
+            assert tr.PushforwardTable(entries).checksum() == (
+                self.sha256_of_canonical_text(entries))
+        assert tr.PushforwardTable(tampered).checksum() != (
+            tr.PushforwardTable(real).checksum())
+
+    def test_checksum_falls_back_to_hashlib(self):
+        # Neither builtin module imports, so only hashlib can hash.
+        real, tampered = self.real_and_tampered()
+        with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None}):
+            for entries in (real, tampered):
+                assert tr.PushforwardTable(entries).checksum() == (
+                    self.sha256_of_canonical_text(entries))
 
     def test_base_entry(self):
         table = tr.load_table()

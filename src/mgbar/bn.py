@@ -39,12 +39,8 @@ __all__ = [
 class _Infeasible:
     """Singleton returned when a numerical constraint has no solution."""
 
-    _instance = None
-
-    def __new__(cls) -> "_Infeasible":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "INFEASIBLE"
 
     def __repr__(self) -> str:
         return "INFEASIBLE"
@@ -66,7 +62,7 @@ class LinearSeriesData(_Record):
 
     ``vanishing`` is the strictly increasing sequence
     ``0 <= a_0 < ... < a_r <= d`` of vanishing orders at a chosen point;
-    the ramification indices ``a_i - i`` must lie in ``[0, d - r]``.
+    the ramification indices ``a_i - i`` then lie in ``[0, d - r]``.
     Instances are read-only.
     """
 
@@ -89,13 +85,7 @@ class LinearSeriesData(_Record):
             raise ValueError("vanishing sequence must be strictly increasing")
         if seq[0] < 0 or seq[-1] > d:
             raise ValueError("vanishing orders must lie in [0, d]")
-        for i, a in enumerate(seq):
-            alpha = a - i
-            if alpha < 0 or alpha > d - r:
-                raise ValueError(
-                    f"ramification index a_{i} - {i} = {alpha} outside "
-                    f"[0, {d - r}]"
-                )
+        # Strictly increasing in [0, d] gives i <= a_i <= d - r + i.
 
     @property
     def ramification(self) -> tuple[int, ...]:

@@ -56,12 +56,8 @@ class _InfiniteSlope:
     Compares above every rational and equal only to itself.
     """
 
-    _instance = None
-
-    def __new__(cls) -> "_InfiniteSlope":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "INFINITE"
 
     def __repr__(self) -> str:
         return "INFINITE"
@@ -198,14 +194,17 @@ class DivisorClass(_Record):
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DivisorClass":
         """Inverse of :meth:`to_json_dict`; other JSON types raise ``ValueError``."""
-        genus, delta = data["genus"], data["delta"]
-        flags = data.get("delta_lower_bounds", [])
+        try:
+            genus, lam, delta = data["genus"], data["lambda"], data["delta"]
+            flags = data.get("delta_lower_bounds", [])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed divisor-class data: {exc}") from exc
         if type(delta) is not list or type(flags) is not list or any(
                 type(x) is not int for x in (genus, *flags)) or any(
-                type(c) not in (int, str) for c in (data["lambda"], *delta)):
+                type(c) not in (int, str) for c in (lam, *delta)):
             raise ValueError("need JSON lists of delta and flags, integer "
                              "genus and flags, rational text coefficients")
-        lambda_coeff, *delta = map(rational_from_str, (data["lambda"], *delta))
+        lambda_coeff, *delta = map(rational_from_str, (lam, *delta))
         return cls(genus, lambda_coeff, delta, flags)
 
     def __str__(self) -> str:

@@ -1,5 +1,6 @@
 """Brill-Noether counts, limit series, bundles, Severi and liaison."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,9 +41,28 @@ class TestLinearSeriesData:
 
     def test_ramification_window(self):
         with pytest.raises(ValueError):
-            bn.LinearSeriesData(4, 1, 4, (0, 5))  # a_1 - 1 = 4 > d - r
+            bn.LinearSeriesData(4, 1, 4, (0, 5))  # a_1 = 5 > d
         series = bn.LinearSeriesData(4, 1, 4, (1, 3))
         assert series.ramification == (1, 2)
+
+    def test_accepted_sequences_exhaustive(self):
+        # Every sequence of length <= r + 2 with entries in -2..d+2.
+        for r in range(4):
+            for d in range(6):
+                entries = range(-2, d + 3)
+                for length in range(r + 3):
+                    for seq in itertools.product(entries, repeat=length):
+                        valid = (len(seq) == r + 1
+                                 and all(a < b for a, b in zip(seq, seq[1:]))
+                                 and 0 <= seq[0] and seq[-1] <= d)
+                        try:
+                            series = bn.LinearSeriesData(0, r, d, seq)
+                        except ValueError:
+                            assert not valid, (r, d, seq)
+                            continue
+                        assert valid, (r, d, seq)
+                        assert all(0 <= alpha <= d - r
+                                   for alpha in series.ramification), seq
 
     def test_no_vanishing_data(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import mgbar
+
 ROOT = Path(__file__).resolve().parent.parent
+# The directory holding the mgbar these tests import: src/ in a checkout,
+# site-packages once the package is installed.
+PACKAGES = Path(mgbar.__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = Path(__file__).resolve().parent / "demo_golden"
 
@@ -25,7 +30,7 @@ def test_every_demo_has_a_golden_file():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_output_is_unchanged(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGES))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True, env=env, cwd=ROOT, timeout=120,

@@ -195,6 +195,13 @@ def divisor_data(draw):
 @example({"genus": 2, "lambda": "1", "delta": 12})
 @example({"genus": 2, "lambda": "1", "delta": ["1", "1"],
           "delta_lower_bounds": 1})
+# A record without one of its keys, or no JSON object at all.
+@example({"lambda": "1", "delta": ["1", "1"]})
+@example({"genus": 2, "delta": ["1", "1"]})
+@example({"genus": 2, "lambda": "1"})
+@example([1, 2])
+@example("x")
+@example(None)
 def test_random_divisor_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:

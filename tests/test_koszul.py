@@ -9,6 +9,7 @@ dense row-by-column sum.
 """
 
 import copy
+import inspect
 import itertools
 import json
 import math
@@ -202,6 +203,27 @@ def generic_coordinates(module: K.GradedModule,
               for k in range(n))
         for tensor in module.mult
     ))
+
+
+def halved_cubic_json() -> dict:
+    """The twisted cubic's module JSON with f_0 scaled by 1/2."""
+    data = K.module_to_json(K.veronese_module(3, 3))
+    data["mult"] = [[[[str(Fraction(x) / 2) if l == 0 else x for x in row]
+                      for row in layer] for l, layer in enumerate(tensor)]
+                    for tensor in data["mult"]]
+    return data
+
+
+def partial_sum_quartic_json() -> dict:
+    """The rational normal quartic's module JSON with f_l replaced by
+    f_0 + ... + f_l: fill and cancellation, so pivots met by several
+    columns go through the heap."""
+    data = K.module_to_json(K.veronese_module(4, 4))
+    data["mult"] = [[[[str(sum(int(t[k][u][w]) for k in range(l + 1)))
+                       for w in range(len(t[l][u]))]
+                      for u in range(len(t[l]))] for l in range(len(t))]
+                    for t in data["mult"]]
+    return data
 
 
 def around_the_constructor(base: K.GradedModule, j: int, l: int,
@@ -415,6 +437,13 @@ class TestKoszulMatrix:
             K.koszul_matrix(m, 4, 0)
         with pytest.raises(ValueError):
             K.koszul_matrix(m, 1, 2)  # needs M_3
+
+    def test_a_quartic_differential_through_the_public_path(self):
+        m = K.koszul_matrix(K.veronese_module(4, 4), 2, 1)
+        assert (m.nrows, m.ncols) == (45, 50)
+        assert K.matrix_rank(m) == K.matrix_rank(m, 2147483647) == 32
+        assert list(inspect.signature(K.matrix_rank).parameters) == [
+            "matrix", "modulus"]
 
     def test_differential_squares_to_zero(self):
         rng = random.Random(5)
@@ -825,6 +854,22 @@ class TestBettiTable:
             [0, 3, 2, 0],
             [0, 0, 0, 0],
         ]
+
+    @pytest.mark.parametrize("modulus", [None, 2147483647])
+    def test_polynomial_ring_resolves_the_residue_field(self, modulus):
+        ring = K.polynomial_ring_module(4, 3)
+        assert K.betti_table(ring, 4, 2, modulus) == [
+            [1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("modulus", [None, 2147483647])
+    def test_changed_coordinates_keep_the_table(self, modulus):
+        cubic = K.module_from_json(json.dumps(halved_cubic_json()))
+        assert K.betti_table(cubic, 3, 2, modulus) == [
+            [1, 0, 0, 0], [0, 3, 2, 0], [0, 0, 0, 0]]
+        quartic = K.module_from_json(json.dumps(partial_sum_quartic_json()))
+        assert K.betti_table(quartic, 4, 3, modulus) == [
+            [1, 0, 0, 0, 0], [0, 6, 8, 3, 0],
+            [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
 
     def test_bounds_checked(self):
         rnc = K.veronese_module(3, 3)
@@ -1348,6 +1393,16 @@ class TestSerialization:
             module = random_monomial_module(rng)
             blob = json.dumps(K.module_to_json(module))
             assert K.module_from_json(blob) == module
+
+    def test_json_and_repr_round_trips(self):
+        # The dense tensor a module derives on first read survives both.
+        namespace = {"GradedModule": K.GradedModule, "Fraction": Fraction}
+        for data in (K.module_to_json(K.veronese_module(3, 3)),
+                     halved_cubic_json()):
+            m = K.module_from_json(json.dumps(data))
+            assert K.module_from_json(K.module_to_json(m)) == m
+            again = eval(repr(m), namespace)
+            assert again == m and repr(again) == repr(m)
 
     def test_malformed_data(self):
         with pytest.raises(ValueError):

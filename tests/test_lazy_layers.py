@@ -28,7 +28,9 @@ import pytest
 import mgbar
 from mgbar import cli, koszul
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The directory holding the mgbar these tests import: src/ in a checkout,
+# site-packages once the package is installed.
+PACKAGES = Path(mgbar.__file__).resolve().parent.parent
 LAYERS = ("divclass", "tautring", "psi", "bn", "koszul")
 
 # Prints the modules loaded by ``import mgbar.cli``, then those that
@@ -56,7 +58,7 @@ BARE = "import sys; print(' '.join(sorted(sys.modules)))"
 
 
 def _python(*args: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGES))
     proc = subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env,
         timeout=120,

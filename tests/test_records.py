@@ -7,8 +7,12 @@ Each record is built twice, positionally and by keyword, and once with
 different values.  Frozen records must refuse attribute assignment and
 deletion and hash by value (unless a field holds a dict); the Koszul
 records that the benchmark tracer follows must stay weak-referenceable.
+The sentinels ``INFINITE`` and ``INFEASIBLE`` must stay single objects
+through ``copy`` and every pickle protocol.
 """
 
+import copy
+import pickle
 import weakref
 from fractions import Fraction
 
@@ -336,3 +340,19 @@ def test_traced_records_are_weak_referenceable():
     module = RECORDS["GradedModule"][0]()
     assert weakref.ref(matrix)() is matrix
     assert weakref.ref(module)() is module
+
+
+@pytest.mark.parametrize("sentinel", [divclass.INFINITE, bn.INFEASIBLE],
+                         ids=repr)
+def test_sentinels_survive_copy_and_pickle(sentinel):
+    assert copy.copy(sentinel) is sentinel
+    assert copy.deepcopy(sentinel) is sentinel
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel
+
+
+def test_unpickled_infinite_encodes_as_infinite():
+    # Protocols 0 and 1 rebuild an object through object.__new__ unless
+    # its __reduce__ names it.
+    copied = pickle.loads(pickle.dumps(divclass.INFINITE, 0))
+    assert cli._encode(copied) == ("infinite", "infinite")

@@ -58,6 +58,15 @@ class _Record:
         raise AttributeError(f"cannot delete {name!r}: read-only")
 
 
+class _Named:
+    """A layer's singleton that pickles, copies and prints as ``_name``."""
+
+    def __reduce__(self) -> str:
+        return self._name
+
+    __repr__ = __reduce__
+
+
 class ResourceLimitError(RuntimeError):
     """Input exceeds a work or size guard (psi memo, Koszul elimination)."""
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from . import _Record
+from . import _Named, _Record
 
 __all__ = [
     "INFEASIBLE",
@@ -36,14 +36,10 @@ __all__ = [
 ]
 
 
-class _Infeasible:
+class _Infeasible(_Named):
     """Singleton returned when a numerical constraint has no solution."""
 
-    def __reduce__(self) -> str:
-        return "INFEASIBLE"
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
+    _name = _text = "INFEASIBLE"
 
     def __bool__(self) -> bool:
         return False
@@ -63,7 +59,8 @@ class LinearSeriesData(_Record):
     ``vanishing`` is the strictly increasing sequence
     ``0 <= a_0 < ... < a_r <= d`` of vanishing orders at a chosen point;
     the ramification indices ``a_i - i`` then lie in ``[0, d - r]``.
-    Instances are read-only.
+    ``g``, ``r``, ``d`` and every order must be an ``int`` that is no
+    ``bool`` (anything else raises ``TypeError``).  Instances are read-only.
     """
 
     _fields = ("g", "r", "d", "vanishing")
@@ -71,9 +68,12 @@ class LinearSeriesData(_Record):
     def __init__(
         self, g: int, r: int, d: int, vanishing: Sequence[int] | None = None
     ) -> None:
+        seq = None if vanishing is None else tuple(vanishing)
+        for x in (g, r, d, *(seq or ())):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"series data must be integers, got {x!r}")
         if g < 0 or r < 0 or d < 0:
             raise ValueError("g, r, d must be nonnegative")
-        seq = None if vanishing is None else tuple(int(a) for a in vanishing)
         self.__dict__.update(g=g, r=r, d=d, vanishing=seq)
         if seq is None:
             return

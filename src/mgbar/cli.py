@@ -9,8 +9,9 @@ decimal rendering alongside the exact value.
 Flags may be spelled either ``--g 22`` or ``g=22``; the second form is
 rewritten to the first before parsing.
 
-Each subcommand is one row of :data:`COMMANDS`; the parser, the
-dispatch and the JSON record are all generated from that table.
+Each subcommand is one row of :data:`COMMANDS`, from which the parser,
+the dispatch and the JSON record are generated; a layer's named result
+encodes through its ``_text``, a record through its ``to_json_dict``.
 
 A process is short, so it loads only what its command runs.  Importing
 this module loads ``mgbar.psi`` and ``mgbar.koszul`` with the package
@@ -72,8 +73,9 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
 
     Integers stay integers and other rationals become ``p/q`` strings;
     ``tolerance`` only appends a decimal to the human text of a
-    non-integer rational, never to the JSON value.  Records (dicts and
-    named tuples) render as ``k=v ...`` without decimals.
+    non-integer rational, never to the JSON value.  A layer's named
+    result encodes as its ``_text``, a record as its ``to_json_dict()``
+    and ``str()``, and dicts and named tuples as ``k=v ...``.
     """
     if isinstance(value, bool):
         return value, "true" if value else "false"
@@ -84,17 +86,10 @@ def _encode(value, tolerance: Fraction | None = None) -> tuple:
         if tolerance is None:
             return str(exact), str(exact)
         return str(exact), f"{exact} ({_decimal(exact, tolerance)})"
-    # Only a loaded layer can have made its own sentinels and classes, so
-    # look for divclass and bn without loading them.
-    divclass = sys.modules.get(f"{__package__}.divclass")
-    bn = sys.modules.get(f"{__package__}.bn")
-    if divclass is not None:
-        if value is divclass.INFINITE:
-            return "infinite", "infinite"
-        if isinstance(value, divclass.DivisorClass):
-            return value.to_json_dict(), str(value)
-    if bn is not None and value is bn.INFEASIBLE:
-        return "INFEASIBLE", "INFEASIBLE"
+    if isinstance(value, mgbar._Named):
+        return value._text, value._text
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict(), str(value)
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
         value = value._asdict()
     if isinstance(value, dict):

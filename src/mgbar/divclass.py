@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import _Record, _fraction, _rational as rational_from_str
+from . import _Named, _Record, _fraction, _rational as rational_from_str
 
 __all__ = [
     "DivisorClass",
@@ -50,17 +50,13 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-class _InfiniteSlope:
+class _InfiniteSlope(_Named):
     """Sentinel for the slope of classes outside the ``a, b_j > 0`` cone.
 
     Compares above every rational and equal only to itself.
     """
 
-    def __reduce__(self) -> str:
-        return "INFINITE"
-
-    def __repr__(self) -> str:
-        return "INFINITE"
+    _name, _text = "INFINITE", "infinite"
 
     def __lt__(self, other: object) -> bool:
         return False

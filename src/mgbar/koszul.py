@@ -155,9 +155,12 @@ def _difference(pairs, layer, others, other_layer) -> dict:
 
 def _dims(base_dim: int, piece_dims) -> tuple[int, ...]:
     """The piece dimensions, once they and ``base_dim`` pass the checks."""
+    dims = tuple(piece_dims)
+    if any(not isinstance(x, int) or isinstance(x, bool)
+           for x in (base_dim, *dims)):
+        raise TypeError(f"non-integer size in {base_dim!r}, {dims!r}")
     if base_dim < 1:
         raise ValueError("base_dim must be at least 1")
-    dims = tuple(int(d) for d in piece_dims)
     if len(dims) < 2:
         raise ValueError("need at least pieces M_0 and M_1")
     if any(d < 0 for d in dims):
@@ -645,11 +648,18 @@ def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _monomial_module(gens, bases) -> GradedModule:
-    """Multiplication tensors for monomial bases where ``f_l`` multiplies
-    by the monomial ``gens[l]`` (products outside the next basis -> 0)."""
+def _monomial_module(n: int, step: int, top: int, ideal=()) -> GradedModule:
+    """``M_j`` spanned by the degree-``step * j`` monomials in ``n``
+    variables outside the monomial ideal ``ideal``, ``f_l`` multiplying by
+    the ``l``-th degree-``step`` monomial, both in :func:`_monomials` order."""
+    gens = _monomials(n, step)
+    bases = [[m for m in _monomials(n, step * j)
+              if not any(all(a >= e for a, e in zip(m, g)) for g in ideal)]
+             for j in range(top + 1)]
+    if any(len(b) == 0 for b in bases[:2]):
+        raise ValueError("quotient has no room in degrees 0..1")
     mult = []
-    for j in range(len(bases) - 1):
+    for j in range(top):
         index = {mono: w for w, mono in enumerate(bases[j + 1])}
         tensor = []
         for g in gens:
@@ -668,8 +678,7 @@ def polynomial_ring_module(n: int, top: int) -> GradedModule:
     graded pieces up to degree ``top``."""
     if n < 1 or top < 1:
         raise ValueError("need n >= 1 and top >= 1")
-    bases = [_monomials(n, j) for j in range(top + 1)]
-    return _monomial_module(_monomials(n, 1), bases)
+    return _monomial_module(n, 1, top)
 
 
 def veronese_module(d: int, top: int) -> GradedModule:
@@ -678,10 +687,7 @@ def veronese_module(d: int, top: int) -> GradedModule:
     ``d + 1`` acting by monomial multiplication on the line."""
     if d < 1 or top < 1:
         raise ValueError("need d >= 1 and top >= 1")
-    gens = [(l, d - l) for l in range(d + 1)]
-    bases = [[(u, d * j - u) for u in range(d * j + 1)]
-             for j in range(top + 1)]
-    return _monomial_module(gens, bases)
+    return _monomial_module(2, d, top)
 
 
 def monomial_quotient_module(
@@ -696,15 +702,7 @@ def monomial_quotient_module(
             raise ValueError(f"bad generator exponents {g}")
         if sum(g) == 0:
             raise ValueError("degree-0 generator collapses the module")
-
-    def in_ideal(mono: tuple[int, ...]) -> bool:
-        return any(all(m >= e for m, e in zip(mono, g)) for g in gens)
-
-    bases = [[m for m in _monomials(n, j) if not in_ideal(m)]
-             for j in range(top + 1)]
-    if any(len(b) == 0 for b in bases[:2]):
-        raise ValueError("quotient has no room in degrees 0..1")
-    return _monomial_module(_monomials(n, 1), bases)
+    return _monomial_module(n, 1, top, gens)
 
 
 # ---------------------------------------------------------------------

@@ -260,6 +260,62 @@ def commutes(module: K.GradedModule, j: int) -> bool:
                for l, m in itertools.combinations(range(module.base_dim), 2))
 
 
+def dense_tensors(module: K.GradedModule) -> list:
+    return [[[list(row) for row in layer] for layer in tensor]
+            for tensor in module.mult]
+
+
+def monomial_tensors(n: int, top: int, ideal=()) -> tuple:
+    """Dimensions and ``mult`` of the polynomial ring on ``n`` variables
+    modulo the monomial ideal ``ideal``, from first principles: the
+    basis of ``M_j`` is the ``combinations_with_replacement`` of the
+    variables, less the multiples of a generator, and ``f_l = x_l``."""
+    def outside(combo):
+        exps = [combo.count(v) for v in range(n)]
+        return not any(all(e >= g for e, g in zip(exps, gen)) for gen in ideal)
+
+    bases = [[c for c in itertools.combinations_with_replacement(range(n), j)
+              if outside(c)] for j in range(top + 1)]
+    mult = [[[[int(tuple(sorted(u + (l,))) == w) for w in bases[j + 1]]
+              for u in bases[j]] for l in range(n)] for j in range(top)]
+    return [len(b) for b in bases], mult
+
+
+class TestBuilders:
+    """The builders' bases and ``f_l`` in their documented order, which
+    no Betti table can see (a basis permutation leaves it unchanged)."""
+
+    @pytest.mark.parametrize("d, top", [(1, 3), (2, 2), (3, 3), (5, 2)])
+    def test_veronese(self, d, top):
+        # f_l = s^l t^(d-l) sends s^u t^(dj-u) to s^(u+l) t^(d(j+1)-u-l).
+        mult = [[[[int(w == u + l) for w in range(d * (j + 1) + 1)]
+                  for u in range(d * j + 1)] for l in range(d + 1)]
+                for j in range(top)]
+        module = K.veronese_module(d, top)
+        assert module.base_dim == d + 1
+        assert module.piece_dims == tuple(d * j + 1 for j in range(top + 1))
+        assert dense_tensors(module) == mult
+
+    @pytest.mark.parametrize("n, top", [(1, 3), (2, 3), (3, 2), (4, 2)])
+    def test_polynomial_ring(self, n, top):
+        dims, mult = monomial_tensors(n, top)
+        module = K.polynomial_ring_module(n, top)
+        assert (module.base_dim, list(module.piece_dims)) == (n, dims)
+        assert dense_tensors(module) == mult
+
+    @pytest.mark.parametrize("n, top, ideal", [
+        (2, 3, [(1, 1)]),
+        (3, 3, [(2, 0, 0), (0, 1, 1)]),
+        (3, 2, [(0, 0, 1)]),
+        (4, 2, [(1, 0, 0, 1), (0, 2, 0, 0), (0, 0, 0, 2)]),
+    ])
+    def test_monomial_quotient(self, n, top, ideal):
+        dims, mult = monomial_tensors(n, top, ideal)
+        module = K.monomial_quotient_module(n, top, ideal)
+        assert (module.base_dim, list(module.piece_dims)) == (n, dims)
+        assert dense_tensors(module) == mult
+
+
 class TestGradedModule:
     def test_shape_validation(self):
         with pytest.raises(ValueError):

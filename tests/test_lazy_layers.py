@@ -7,12 +7,13 @@ layers its command runs.  The standard library follows the same rule:
 no ``dataclasses`` (and with it ``inspect``) at all, ``json`` only for
 ``--json`` output and Koszul module input, no ``hashlib`` (and with it
 OpenSSL) at all, not even for the pushforward-table checksum, and
-argparse parsers only for the command run.  Module sets are read in
-fresh interpreters, since the test process has long since loaded every
-layer.
+argparse parsers only for the command run, and no module outside the
+standard library anywhere in the package.  Module sets are read in fresh
+interpreters, since the test process has long since loaded every layer.
 """
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -171,6 +172,51 @@ def test_a_routed_command_builds_one_branch_of_the_parser():
             except SystemExit as exc:
                 assert exc.code == code, argv
         assert len(built) <= most, (argv, built)
+
+
+# Encodes a named result and a record of types the package has never
+# seen, then prints which of divclass and bn that loaded.
+ENCODE = """
+import sys
+import mgbar
+from mgbar import cli
+
+class Answer(mgbar._Named):
+    _name, _text = "ANSWER", "forty-two"
+
+class Record:
+    def to_json_dict(self):
+        return {"a": 1}
+
+    def __str__(self):
+        return "a=1"
+
+assert cli._encode(Answer()) == ("forty-two", "forty-two")
+assert cli._encode(Record()) == ({"a": 1}, "a=1")
+print(sorted({"mgbar.divclass", "mgbar.bn"} & set(sys.modules)))
+"""
+
+
+def test_encode_reads_results_by_protocol_without_loading_layers():
+    assert _python("-c", ENCODE).strip() == "[]"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # CPython's builtin SHA-256 module is _sha256 up to 3.11 and _sha2
+    # from 3.12, and stdlib_module_names lists only one of the two.
+    allowed = {"mgbar", "_sha2", "_sha256", *sys.stdlib_module_names}
+    sources = sorted(Path(mgbar.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
 
 
 def test_every_exported_name_is_its_layers_own_object():

@@ -227,8 +227,8 @@ def test_fields_are_normalised():
     assert psi.Correlator(2, [3, 0, 1]).exponents == (0, 1, 3)
     assert bn.LinearSeriesData(2, 1, 2, [0, 1]).vanishing == (0, 1)
     assert bn.TreeCurve((1, 2, 0), [(1, 0), (2, 1)]).edges == ((0, 1), (1, 2))
-    module = koszul.GradedModule(1, [1.0, 1], [[[[1]]]])
-    assert module.piece_dims == (1, 1) and type(module.piece_dims[0]) is int
+    module = koszul.GradedModule(1, [1, 1], [[[[1]]]])
+    assert module.piece_dims == (1, 1)
     assert module.mult == ((((F(1),),),),)
     matrix = koszul.SparseMatrix(2, 2, {(0, 1): F(2), (1, 1): 0, (0, 0): F(1, 2)})
     assert matrix.entries == {(0, 1): 2, (0, 0): F(1, 2)}
@@ -256,6 +256,19 @@ def test_fields_are_normalised():
      "vanishing sequence must be strictly increasing"),
     (lambda: bn.LinearSeriesData(4, 1, 4, (0, 5)), ValueError,
      "vanishing orders must lie in [0, d]"),
+    # Sizes and orders are ints that are no bools; none is rounded.
+    (lambda: bn.LinearSeriesData(4, 1, 4, (0.9, 3.7)), TypeError,
+     "series data must be integers, got 0.9"),
+    (lambda: bn.LinearSeriesData(4, 1, 4, (False, True)), TypeError,
+     "series data must be integers, got False"),
+    (lambda: bn.LinearSeriesData(4, 1, 4, ("0", "3")), TypeError,
+     "series data must be integers, got '0'"),
+    (lambda: bn.LinearSeriesData(4.5, 1.2, 4), TypeError,
+     "series data must be integers, got 4.5"),
+    (lambda: bn.limit_series_compatible(
+        bn.TreeCurve((1, 1), ((0, 1),)), [bn.LinearSeriesData(1, 1, 4)] * 2,
+        {(0, 1): (0, 4.0), (1, 0): (0, 4)}), TypeError,
+     "series data must be integers, got 4.0"),
     (lambda: bn.TreeCurve((), ()), ValueError, "need at least one component"),
     (lambda: bn.TreeCurve((1, -1), ((0, 1),)), ValueError,
      "component genera must be nonnegative"),
@@ -274,6 +287,10 @@ def test_fields_are_normalised():
      "c2 must be homogeneous of degree 2"),
     (lambda: koszul.GradedModule(0, [1, 1], []), ValueError,
      "base_dim must be at least 1"),
+    (lambda: koszul.GradedModule(1, [1.9, 1], [[[[1]]]]), TypeError,
+     "non-integer size in 1, (1.9, 1)"),
+    (lambda: koszul.GradedModule(True, [1, 1], [[[[1]]]]), TypeError,
+     "non-integer size in True, (1, 1)"),
     (lambda: koszul.GradedModule(1, [1], []), ValueError,
      "need at least pieces M_0 and M_1"),
     (lambda: koszul.GradedModule(1, [1, -1], [[[[1]]]]), ValueError,

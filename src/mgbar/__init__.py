@@ -95,6 +95,18 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _integers(*values) -> None:
+    """The one check of an integer argument (a genus, rank, degree, index,
+    count or exponent): each value must be an ``int`` that is no ``bool``;
+    anything else raises ``TypeError``, ahead of any range check."""
+    for value in values:
+        # A plain int passes on its type alone: every ring term's key
+        # comes through here.
+        if type(value) is not int and (
+                not isinstance(value, int) or isinstance(value, bool)):
+            raise TypeError(f"expected an integer, got {type(value).__name__}")
+
+
 # Eager: deferring them moves their load into the first job (psi_sweep +10%).
 from . import koszul, psi
 

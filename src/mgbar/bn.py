@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from . import _Named, _Record
+from . import _Named, _Record, _integers
 
 __all__ = [
     "INFEASIBLE",
@@ -50,6 +50,7 @@ INFEASIBLE = _Infeasible()
 
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number ``g - (r+1)(g - d + r)``."""
+    _integers(g, r, d)
     return g - (r + 1) * (g - d + r)
 
 
@@ -59,8 +60,8 @@ class LinearSeriesData(_Record):
     ``vanishing`` is the strictly increasing sequence
     ``0 <= a_0 < ... < a_r <= d`` of vanishing orders at a chosen point;
     the ramification indices ``a_i - i`` then lie in ``[0, d - r]``.
-    ``g``, ``r``, ``d`` and every order must be an ``int`` that is no
-    ``bool`` (anything else raises ``TypeError``).  Instances are read-only.
+    ``g``, ``r``, ``d`` and every order pass :func:`mgbar._integers`, the
+    one integer check.  Instances are read-only.
     """
 
     _fields = ("g", "r", "d", "vanishing")
@@ -69,9 +70,7 @@ class LinearSeriesData(_Record):
         self, g: int, r: int, d: int, vanishing: Sequence[int] | None = None
     ) -> None:
         seq = None if vanishing is None else tuple(vanishing)
-        for x in (g, r, d, *(seq or ())):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"series data must be integers, got {x!r}")
+        _integers(g, r, d, *(seq or ()))
         if g < 0 or r < 0 or d < 0:
             raise ValueError("g, r, d must be nonnegative")
         self.__dict__.update(g=g, r=r, d=d, vanishing=seq)
@@ -110,6 +109,7 @@ class TreeCurve(_Record):
         component_genera: tuple[int, ...],
         edges: Sequence[tuple[int, int]],
     ) -> None:
+        _integers(*component_genera, *(i for edge in edges for i in edge))
         n = len(component_genera)
         if n == 0:
             raise ValueError("need at least one component")
@@ -213,6 +213,7 @@ class FormalBundle(_Record):
     _fields = ("rank", "degree", "ambient_genus")
 
     def __init__(self, rank: int, degree: int, ambient_genus: int) -> None:
+        _integers(rank, degree, ambient_genus)
         if rank < 1:
             raise ValueError("rank must be at least 1")
         if ambient_genus < 0:
@@ -232,6 +233,7 @@ class FormalBundle(_Record):
         return FormalBundle(self.rank, -self.degree, self.ambient_genus)
 
     def exterior_power(self, k: int) -> "FormalBundle":
+        _integers(k)
         if not 0 <= k <= self.rank:
             raise ValueError(f"exterior power {k} outside 0..{self.rank}")
         return FormalBundle(
@@ -241,6 +243,7 @@ class FormalBundle(_Record):
         )
 
     def sym_power(self, k: int) -> "FormalBundle":
+        _integers(k)
         if k < 0:
             raise ValueError("symmetric power must be nonnegative")
         return FormalBundle(
@@ -258,12 +261,14 @@ class FormalBundle(_Record):
 
 
 def canonical_bundle(g: int) -> FormalBundle:
+    _integers(g)
     return FormalBundle(1, 2 * g - 2, g)
 
 
 def canonical_syzygy_bundle(g: int) -> FormalBundle:
     """Kernel of the evaluation ``H^0(K) (x) O -> K``: rank ``g-1``,
     degree ``-(2g-2)``."""
+    _integers(g)
     if g < 2:
         raise ValueError("needs genus >= 2")
     return FormalBundle(g - 1, -(2 * g - 2), g)
@@ -276,6 +281,7 @@ def balanced_rank_check(i: int) -> bool:
     the Euler characteristic of ``wedge^i M_K (x) K^2``; equality makes
     the syzygy locus an honest determinantal divisor condition.
     """
+    _integers(i)
     if i < 0:
         raise ValueError("i must be nonnegative")
     g = 2 * i + 3
@@ -288,6 +294,7 @@ def balanced_rank_check(i: int) -> bool:
 
 def koszul_threshold(g: int, i: int) -> Fraction:
     """Dimension threshold for the syzygy degeneracy argument."""
+    _integers(g, i)
     if not 0 <= 2 * i <= g - 1:
         raise ValueError("need 0 <= i <= (g-1)/2")
     return (
@@ -304,6 +311,7 @@ def quadric_count(g: int, r: int, d: int) -> int:
     ``C(r+2, 2) - (2d + 1 - g)``; negative values report the corank of
     an expectedly injective restriction instead.
     """
+    _integers(g, r, d)
     if r < 0:
         raise ValueError("quadric count needs r >= 0")
     return math.comb(r + 2, 2) - (2 * d + 1 - g)
@@ -325,6 +333,7 @@ def severi_analyze(g: int) -> SeveriReport:
     Severi parameter space, and ``feasible`` whether the node count fits
     (``dim_U >= 2 * delta``).
     """
+    _integers(g)
     if g < 1:
         raise ValueError("needs genus >= 1")
     # rho(g, 2, d) increases with d, so d_min is the d where it turns
@@ -358,6 +367,7 @@ def liaison_solve(g: int, d: int, r: int) -> LiaisonResult | _Infeasible:
     negative, or the residual genus is not a nonnegative integer.  A
     negative ``g`` or ``d`` raises ``ValueError``.
     """
+    _integers(g, d, r)
     if r < 3:
         raise ValueError("liaison needs r >= 3 (r = 2 divides by zero)")
     if g < 0 or d < 0:
@@ -377,4 +387,5 @@ def liaison_solve(g: int, d: int, r: int) -> LiaisonResult | _Infeasible:
 
 def hilbert_dim(d_res: int, g_res: int, r: int) -> int:
     """Dimension count ``(r+1) d' - (r-3)(g'-1)`` for the residual."""
+    _integers(d_res, g_res, r)
     return (r + 1) * d_res - (r - 3) * (g_res - 1)

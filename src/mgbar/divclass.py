@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from . import _Named, _Record, _fraction, _rational as rational_from_str
+from . import _Named, _Record, _fraction, _integers
+from . import _rational as rational_from_str
 
 __all__ = [
     "DivisorClass",
@@ -85,6 +86,7 @@ MAX_GENUS = 10_000
 
 def _boundary_count(g: int) -> int:
     """``g//2 + 1``, the number of boundary divisors, for ``g <= MAX_GENUS``."""
+    _integers(g)
     if g > MAX_GENUS:
         raise ValueError(f"genus {g} exceeds the guard ({MAX_GENUS})")
     return g // 2 + 1
@@ -108,6 +110,8 @@ class DivisorClass(_Record):
         delta_coeffs: Iterable[Rational],
         lower_bound_deltas: Iterable[int] = frozenset(),
     ) -> None:
+        flags = frozenset(lower_bound_deltas)
+        _integers(genus, *flags)
         if genus < 2:
             raise ValueError("genus must be at least 2")
         expected = _boundary_count(genus)
@@ -118,7 +122,6 @@ class DivisorClass(_Record):
                 f"got {len(coeffs)}"
             )
         lambda_coeff = _fraction(lambda_coeff)
-        flags = frozenset(lower_bound_deltas)
         if any(j not in range(expected) for j in flags):
             raise ValueError("lower-bound flag outside delta index range")
         self.__dict__.update(
@@ -130,7 +133,7 @@ class DivisorClass(_Record):
 
     @classmethod
     def zero(cls, genus: int) -> "DivisorClass":
-        return cls(genus, Fraction(0), (Fraction(0),) * (genus // 2 + 1))
+        return cls(genus, Fraction(0), (Fraction(0),) * _boundary_count(genus))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if not isinstance(other, DivisorClass):
@@ -255,6 +258,7 @@ def canonical_coarse(g: int) -> DivisorClass:
     ``13*lambda - 2*delta_0 - 3*delta_1 - 2*delta_2 - ... - 2*delta_{g//2}``;
     genus 3 is the special case ``4*lambda - delta_0``.
     """
+    _integers(g)
     if g < 3:
         raise ValueError("canonical_coarse requires genus >= 3")
     if g == 3:
@@ -279,6 +283,7 @@ def lambda_chern_n(g: int, n: int) -> DivisorClass:
 
     Equals ``lambda + C(n,2) * kappa1`` expanded onto the basis.
     """
+    _integers(g, n)
     if n < 1:
         raise ValueError("n must be at least 1")
     weight = math.comb(n, 2)
@@ -327,6 +332,7 @@ def slope(D: DivisorClass) -> Fraction | _InfiniteSlope:
 
 def slope_conjecture_bound(g: int) -> Fraction:
     """The threshold ``6 + 12/(g+1)`` every slope is measured against."""
+    _integers(g)
     return Fraction(6) + Fraction(12, g + 1)
 
 
@@ -345,6 +351,7 @@ def test_curve(kind: str, g: int) -> CurveNumbers:
     ``R``: a pencil of plane cubics attached to a fixed tail;
     ``B``: a Lefschetz pencil of curves on a polarized K3 surface.
     """
+    _integers(g)
     if g < 3:
         raise ValueError("test curves need genus >= 3")
     deltas = [Fraction(0)] * _boundary_count(g)
@@ -416,6 +423,7 @@ def koszul_odd_class(i: int) -> DivisorClass:
     Boundary coefficients past ``delta_1`` are only known to dominate
     ``b_0`` and are stored as lower bounds.
     """
+    _integers(i)
     if i < 0:
         raise ValueError("i must be nonnegative")
     g = 2 * i + 3
@@ -441,6 +449,7 @@ def koszul_odd_class(i: int) -> DivisorClass:
 
 def koszul_even_slope(i: int) -> Fraction:
     """Slope of the virtual syzygy class in even genus ``g = 6i + 10``."""
+    _integers(i)
     if i < 0:
         raise ValueError("i must be nonnegative")
     value = Fraction(
@@ -458,6 +467,7 @@ def gieseker_petri_slope(r: int, s: int) -> Fraction:
     Exceeds ``6 + 12/(g+1)`` except at ``(r, s) = (1, 1)``, where the
     correction term vanishes and the value is exactly the bound (10).
     """
+    _integers(r, s)
     if r < 1 or s < 1:
         raise ValueError("r and s must be positive")
     g = r * s + s

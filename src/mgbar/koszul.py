@@ -58,7 +58,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
-from . import ResourceLimitError, _Record, _rational
+from . import ResourceLimitError, _Record, _integers, _rational
 
 __all__ = [
     "GradedModule", "KoszulStrand", "SparseMatrix", "koszul_matrix",
@@ -156,9 +156,7 @@ def _difference(pairs, layer, others, other_layer) -> dict:
 def _dims(base_dim: int, piece_dims) -> tuple[int, ...]:
     """The piece dimensions, once they and ``base_dim`` pass the checks."""
     dims = tuple(piece_dims)
-    if any(not isinstance(x, int) or isinstance(x, bool)
-           for x in (base_dim, *dims)):
-        raise TypeError(f"non-integer size in {base_dim!r}, {dims!r}")
+    _integers(base_dim, *dims)
     if base_dim < 1:
         raise ValueError("base_dim must be at least 1")
     if len(dims) < 2:
@@ -277,6 +275,7 @@ class KoszulStrand(_Record):
 
     def __init__(self, i: int, j: int, kernel_dim: int, image_dim: int,
                  k_dim: int) -> None:
+        _integers(i, j, kernel_dim, image_dim, k_dim)
         if k_dim != kernel_dim - image_dim:
             raise ValueError("k_dim must equal kernel_dim - image_dim")
         if k_dim < 0:
@@ -293,8 +292,10 @@ class SparseMatrix(_Record):
     __hash__ = None  # unhashable, as the entries dict is
 
     def __init__(self, nrows: int, ncols: int, entries: dict) -> None:
+        _integers(nrows, ncols)
         clean = {}
         for (r, c), v in entries.items():
+            _integers(r, c)
             v = _exact(v)
             if not 0 <= r < nrows or not 0 <= c < ncols:
                 raise ValueError(f"entry ({r}, {c}) outside matrix shape")
@@ -321,6 +322,7 @@ class SparseMatrix(_Record):
 def _check_cell(module: GradedModule, i: int, j: int) -> tuple[int, int]:
     """The shape of ``d_{i,j}``, refused unless ``Wedge^i V``, ``M_j`` and
     ``M_{j+1}`` exist and no side exceeds :data:`MAX_MATRIX_SIDE`."""
+    _integers(i, j)
     n, dims = module.base_dim, module.piece_dims
     if i < 0 or i > n:
         raise ValueError(f"wedge degree {i} outside 0..{n}")
@@ -494,8 +496,7 @@ def _check_modulus(n: int | None) -> None:
     2**30 that passes Miller-Rabin to the first twelve prime bases."""
     if n is None:
         return
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"prime-field modulus {n!r} is not an int")
+    _integers(n)
     if n <= 2**30:
         raise ValueError("prime-field modulus must exceed 2**30")
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -605,6 +606,7 @@ def koszul_cohomology(module: GradedModule, i: int, j: int,
 
 def green_lazarsfeld_Np(module: GradedModule, p: int) -> bool:
     """Whether ``K_{i,2} = 0`` for all ``0 <= i <= p``."""
+    _integers(p)
     if p < 0:
         raise ValueError("p must be nonnegative")
     if module.top_degree < 3:
@@ -619,6 +621,7 @@ def betti_table(
     module: GradedModule, max_i: int, max_j: int, modulus: int | None = None
 ) -> list[list[int]]:
     """Rows ``j = 0..max_j``, columns ``i = 0..max_i`` of ``k_dim``."""
+    _integers(max_i, max_j)
     if max_i < 0 or max_j < 0:
         raise ValueError("table bounds must be nonnegative")
     if max_j + 1 > module.top_degree:
@@ -676,6 +679,7 @@ def _monomial_module(n: int, step: int, top: int, ideal=()) -> GradedModule:
 def polynomial_ring_module(n: int, top: int) -> GradedModule:
     """The polynomial ring on ``n`` variables as a module over itself,
     graded pieces up to degree ``top``."""
+    _integers(n, top)
     if n < 1 or top < 1:
         raise ValueError("need n >= 1 and top >= 1")
     return _monomial_module(n, 1, top)
@@ -685,6 +689,7 @@ def veronese_module(d: int, top: int) -> GradedModule:
     """Coordinate ring of the degree-``d`` rational normal curve:
     pieces ``M_j`` of dimension ``d j + 1`` with ``V`` of dimension
     ``d + 1`` acting by monomial multiplication on the line."""
+    _integers(d, top)
     if d < 1 or top < 1:
         raise ValueError("need d >= 1 and top >= 1")
     return _monomial_module(2, d, top)
@@ -694,9 +699,10 @@ def monomial_quotient_module(
         n: int, top: int, generators: list[tuple[int, ...]]) -> GradedModule:
     """Quotient of the polynomial ring by the monomial ideal with the
     given exponent-tuple ``generators`` (all of positive degree)."""
+    gens = [tuple(g) for g in generators]
+    _integers(n, top, *(e for g in gens for e in g))
     if n < 1 or top < 1:
         raise ValueError("need n >= 1 and top >= 1")
-    gens = [tuple(g) for g in generators]
     for g in gens:
         if len(g) != n or any(e < 0 for e in g):
             raise ValueError(f"bad generator exponents {g}")
@@ -721,8 +727,7 @@ def module_from_json(data) -> GradedModule:
         data = json.loads(data)
     try:
         base_dim, pieces = data["base_dim"], tuple(data["pieces"])
-        if any(type(x) is not int for x in (base_dim, *pieces)):
-            raise TypeError(f"non-integer size in {base_dim!r}, {pieces!r}")
+        _integers(base_dim, *pieces)
         loaded = _load(data["mult"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc

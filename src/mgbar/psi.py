@@ -68,7 +68,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
 
-from . import ResourceLimitError, _Record
+from . import ResourceLimitError, _Record, _integers
 
 __all__ = [
     "Correlator",
@@ -108,18 +108,16 @@ class Correlator(_Record):
     """A descendent correlator ``<tau_{a_1} ... tau_{a_n}>_g``.
 
     Exponents are stored sorted (correlators are symmetric).  The genus
-    and every exponent must be an ``int`` that is no ``bool`` (anything
-    else raises ``TypeError``), and the marked curve must be stable:
-    ``2g - 2 + n > 0``.  Instances are read-only.
+    and every exponent pass :func:`mgbar._integers`, the one integer
+    check, and the marked curve must be stable: ``2g - 2 + n > 0``.
+    Instances are read-only.
     """
 
     _fields = ("genus", "exponents")
 
     def __init__(self, genus: int, exponents: Iterable[int]) -> None:
         exps = tuple(exponents)
-        for x in (genus, *exps):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"correlator data must be integers, got {x!r}")
+        _integers(genus, *exps)
         exps = tuple(sorted(exps))
         if genus < 0:
             raise ValueError("genus must be nonnegative")
@@ -167,6 +165,7 @@ def string_reduce(c: Correlator) -> list[Correlator]:
 
 def psi_one_point(g: int) -> Fraction:
     """The one-point integral ``<tau_{3g-2}>_g = 1/(24^g g!)``."""
+    _integers(g)
     if g < 1:
         raise ValueError("one-point integrals need genus >= 1")
     _check_dimension(3 * g - 2)
@@ -325,6 +324,7 @@ def pand_numerator(g: int) -> Fraction:
     irreducible boundary curve is separated into two of the three
     points on the normalization, and the string equation collapses them.
     """
+    _integers(g)
     if g < 2:
         raise ValueError("the bound needs genus >= 2")
     return psi_one_point(g - 1) / 2
@@ -337,6 +337,7 @@ def pand_denominator(g: int) -> Fraction:
     the one-point integral at genus ``g``, and the collapsed three-point
     term one genus down.
     """
+    _integers(g)
     if g < 2:
         raise ValueError("the bound needs genus >= 2")
     two_point = correlator_value(Correlator(g, (3 * g - 3, 2)))

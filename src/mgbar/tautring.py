@@ -66,7 +66,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from . import _Record, _fraction, _rational
+from . import _Record, _fraction, _integers, _rational
 
 __all__ = [
     "RingElement",
@@ -134,6 +134,7 @@ class RingElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Key, Fraction] = {}
         for key, coeff in items:
+            _integers(*key)
             if len(key) != 6 or any(e < 0 for e in key):
                 raise ValueError(f"bad monomial key {key!r}")
             reduced = _reduce_term(tuple(key), _fraction(coeff))
@@ -215,7 +216,8 @@ class RingElement:
         return self * (Fraction(1) / Fraction(other))
 
     def __pow__(self, n: int) -> "RingElement":
-        if not isinstance(n, int) or n < 0:
+        _integers(n)
+        if n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out, square = ONE, self
         while n:
@@ -634,6 +636,7 @@ class ChernData(_Record):
     def __init__(
         self, rank: int, c1: RingElement | KernelPoly, c2: RingElement | KernelPoly
     ) -> None:
+        _integers(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         for name, cls, degree in (("c1", c1, 1), ("c2", c2, 2)):

@@ -107,17 +107,17 @@ def on_dimension_pivotable(max_genus, max_points):
 
 
 class TestCorrelator:
-    @pytest.mark.parametrize("genus, exponents", [
-        (2, [2.7, 3.9]),  # int() would truncate these to <tau_2 tau_3>_2
-        (2, [2.0, 3]),
-        (2.5, [3, 4]),
-        (True, [True]),
-        (1, [True]),
-        (0, [0, 0, False]),
-        (2, ["2", 3]),
+    @pytest.mark.parametrize("genus, exponents, kind", [
+        (2, [2.7, 3.9], "float"),  # int() would truncate to <tau_2 tau_3>_2
+        (2, [2.0, 3], "float"),
+        (2.5, [3, 4], "float"),
+        (True, [True], "bool"),
+        (1, [True], "bool"),
+        (0, [0, 0, False], "bool"),
+        (2, ["2", 3], "str"),
     ])
-    def test_non_integral_data_rejected(self, genus, exponents):
-        with pytest.raises(TypeError, match="must be integers"):
+    def test_non_integral_data_rejected(self, genus, exponents, kind):
+        with pytest.raises(TypeError, match=f"^expected an integer, got {kind}$"):
             Correlator(genus, exponents)
 
     def test_exponents_are_sorted(self):

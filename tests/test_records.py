@@ -258,17 +258,17 @@ def test_fields_are_normalised():
      "vanishing orders must lie in [0, d]"),
     # Sizes and orders are ints that are no bools; none is rounded.
     (lambda: bn.LinearSeriesData(4, 1, 4, (0.9, 3.7)), TypeError,
-     "series data must be integers, got 0.9"),
+     "expected an integer, got float"),
     (lambda: bn.LinearSeriesData(4, 1, 4, (False, True)), TypeError,
-     "series data must be integers, got False"),
+     "expected an integer, got bool"),
     (lambda: bn.LinearSeriesData(4, 1, 4, ("0", "3")), TypeError,
-     "series data must be integers, got '0'"),
+     "expected an integer, got str"),
     (lambda: bn.LinearSeriesData(4.5, 1.2, 4), TypeError,
-     "series data must be integers, got 4.5"),
+     "expected an integer, got float"),
     (lambda: bn.limit_series_compatible(
         bn.TreeCurve((1, 1), ((0, 1),)), [bn.LinearSeriesData(1, 1, 4)] * 2,
         {(0, 1): (0, 4.0), (1, 0): (0, 4)}), TypeError,
-     "series data must be integers, got 4.0"),
+     "expected an integer, got float"),
     (lambda: bn.TreeCurve((), ()), ValueError, "need at least one component"),
     (lambda: bn.TreeCurve((1, -1), ((0, 1),)), ValueError,
      "component genera must be nonnegative"),
@@ -288,9 +288,9 @@ def test_fields_are_normalised():
     (lambda: koszul.GradedModule(0, [1, 1], []), ValueError,
      "base_dim must be at least 1"),
     (lambda: koszul.GradedModule(1, [1.9, 1], [[[[1]]]]), TypeError,
-     "non-integer size in 1, (1.9, 1)"),
+     "expected an integer, got float"),
     (lambda: koszul.GradedModule(True, [1, 1], [[[[1]]]]), TypeError,
-     "non-integer size in True, (1, 1)"),
+     "expected an integer, got bool"),
     (lambda: koszul.GradedModule(1, [1], []), ValueError,
      "need at least pieces M_0 and M_1"),
     (lambda: koszul.GradedModule(1, [1, -1], [[[[1]]]]), ValueError,
@@ -344,6 +344,31 @@ def test_fields_are_normalised():
      "expected an exact rational, got bool"),
     (lambda: T.RingElement([((0, 0, 1, 0, 0, 0), "1/0")]), TypeError,
      "expected an exact rational, got str"),
+    # An integer that is a float or a bool never reaches a record or a
+    # result, where it would print as 2.0 or act as 1.
+    (lambda: divclass.DivisorClass(4, 1, (-1, -1, -1), {2.0}), TypeError,
+     "expected an integer, got float"),
+    (lambda: bn.TreeCurve((1.5, 2), ((0, 1),)), TypeError,
+     "expected an integer, got float"),
+    (lambda: bn.FormalBundle(2, 3, 1.5), TypeError,
+     "expected an integer, got float"),
+    (lambda: koszul.koszul_cohomology(koszul.veronese_module(3, 3), True, 1),
+     TypeError, "expected an integer, got bool"),
+    (lambda: divclass.lambda_chern_n(4, True), TypeError,
+     "expected an integer, got bool"),
+    (lambda: divclass.koszul_odd_class(True), TypeError,
+     "expected an integer, got bool"),
+    (lambda: koszul.monomial_quotient_module(2, 2, [(1.0, 1)]), TypeError,
+     "expected an integer, got float"),
+    # Ring exponents and ranks pass the same integer check.
+    (lambda: T.RingElement({(0, 0, 3.0, 0, 0, 0): 1}), TypeError,
+     "expected an integer, got float"),
+    (lambda: T.RingElement({(0, 0, True, 0, 0, 0): 1}), TypeError,
+     "expected an integer, got bool"),
+    (lambda: T.THETA ** True, TypeError, "expected an integer, got bool"),
+    (lambda: T.THETA ** -1, ValueError, "exponent must be a nonnegative integer"),
+    (lambda: T.ChernData(6.0, T.C1, T.C2), TypeError,
+     "expected an integer, got float"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:

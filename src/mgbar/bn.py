@@ -106,9 +106,10 @@ class TreeCurve(_Record):
 
     def __init__(
         self,
-        component_genera: tuple[int, ...],
+        component_genera: Sequence[int],
         edges: Sequence[tuple[int, int]],
     ) -> None:
+        component_genera = tuple(component_genera)
         _integers(*component_genera, *(i for edge in edges for i in edge))
         n = len(component_genera)
         if n == 0:

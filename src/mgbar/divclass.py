@@ -155,9 +155,10 @@ class DivisorClass(_Record):
         return self + (-1) * other
 
     def __mul__(self, q: Rational) -> "DivisorClass":
-        if not isinstance(q, (int, Fraction)):
+        try:
+            q = _fraction(q)
+        except TypeError:
             return NotImplemented
-        q = Fraction(q)
         if self.lower_bound_deltas and q < 0:
             raise ValueError(
                 "negative scaling would flip lower-bound-only coefficients"

@@ -13,18 +13,21 @@ and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
 by exact rank computations.  A module's entries are read in one pass per
 row into a sparse view, from which the dense tensor is derived if read.
 A Betti table builds each differential once, as the column vectors that
-one sparse elimination ranks, over the integers or, in the optional
-prime-field mode, over F_p (ranks then become high-probability lower
-bounds); an elimination past ``MAX_ELIMINATION_WORK`` updates raises
-:class:`mgbar.ResourceLimitError`.  An elimination first peels, in at
-most ``_PEEL_PASSES`` passes over per-row counts, each column that meets
-a row no other remaining column meets; it is a pivot and updates nothing.
-Only the columns left, the core, are indexed by row, and their pivots
-come from one heap by count, whose stale counts are pushed again when
-popped.  Each ``d_{i,j}`` is ranked only on a complement of the incoming
-image ``im d_{i+1,j-1}``: the columns at the independent rows that
-ranking ``d_{i+1,j-1}`` found are never built, as ``d_{i,j}`` kills that
-image.
+one sparse elimination ranks (a singleton peel, then one heap by count),
+over the integers or, in the optional prime-field mode, over F_p (ranks
+then become high-probability lower bounds); past ``MAX_ELIMINATION_WORK``
+updates it raises :class:`mgbar.ResourceLimitError`.  Each ``d_{i,j}``
+is ranked only on a complement of ``im d_{i+1,j-1}``: the columns at the
+independent rows that ranking ``d_{i+1,j-1}`` found are never built, as
+``d_{i,j}`` kills that image.  One rule gives an elimination its
+integers: a walk reads piece j through a view built once, the piece times
+the lcm of its denominators, reduced mod p in the prime-field mode, and
+``matrix_rank`` reads a matrix as one such piece.  Every entry of d_{i,j}
+comes from piece j, so a column is a positive multiple of its primitive
+form; only core vectors are divided by a gcd, and the ranks, exact or
+over F_p, are those of the primitive integer columns.  Where p divides a
+scaled entry, a column might vanish mod p but not its primitive form, so
+each column of that piece is made primitive, then reduced.
 
 Wedge basis vectors are indexed by strictly increasing tuples in
 lexicographic order; within a wedge factor the module-piece index runs
@@ -119,7 +122,6 @@ class _Memo(dict):
 def _load(mult) -> tuple[tuple, list]:
     """The sparse view of ``mult``, the nonzero ``(w, x)`` of each row with
     integral ``x`` as ``int``, and the length of each row, in one pass.
-
     Entries repeat, so a row of only ``int``, ``str`` and ``Fraction``
     entries reads each from a memo of ``_exact``, where no ``bool`` or
     float meets an ``int``'s slot; any other row goes through ``_exact``
@@ -266,10 +268,8 @@ class GradedModule(_Record):
 
 
 class KoszulStrand(_Record):
-    """``K_{i,j}`` with the kernel and image dimensions it comes from.
-
-    Instances are read-only.
-    """
+    """``K_{i,j}`` with the kernel and image dimensions it comes from;
+    read-only."""
 
     _fields = ("i", "j", "kernel_dim", "image_dim", "k_dim")
 
@@ -337,20 +337,19 @@ def _check_cell(module: GradedModule, i: int, j: int) -> tuple[int, int]:
     return nrows, ncols
 
 
-def _columns(module: GradedModule, i: int, j: int, skip) -> dict[int, dict]:
-    """The nonzero columns of ``d_{i,j}`` outside ``skip``, in column
-    order, each as ``{row: value}``; no column in ``skip`` is built.  The
-    cell's shape is :func:`_check_cell`'s to check."""
+def _columns(module: GradedModule, i: int, j: int, skip, layers) -> dict:
+    """The nonzero columns of ``d_{i,j}`` outside ``skip`` (never built),
+    in column order, as ``{row: value}`` from ``layers``, piece ``j`` or its
+    :func:`_integral` view; the shape is :func:`_check_cell`'s to check."""
     n, dim_j, dim_j1 = module.base_dim, *module.piece_dims[j : j + 2]
     # At i = 0 no wedge factor is dropped: no rows, no entries.
     targets = itertools.combinations(range(n), max(i - 1, 0))
     target_index = {comb: pos for pos, comb in enumerate(targets)}
-    layers = module._nonzero[j]
     columns = {}
     for s_pos, s in enumerate(itertools.combinations(range(n), i)):
         # Dropping f_{s[drop]} lands in its own row block with sign
         # (-1)^drop, so each (row, column) is reached once.  The values of
-        # ``module._nonzero`` are nonzero and exact: no check runs again.
+        # ``layers`` are nonzero: no check runs again.
         blocks = [(target_index[s[:drop] + s[drop + 1 :]] * dim_j1,
                    drop % 2, layers[l]) for drop, l in enumerate(s)]
         for c in range(s_pos * dim_j, (s_pos + 1) * dim_j):
@@ -373,7 +372,8 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
     gives the zero map out of ``M_j`` (a matrix with no rows).
     """
     nrows, ncols = _check_cell(module, i, j)
-    entries = {(r, c): x for c, column in _columns(module, i, j, ()).items()
+    entries = {(r, c): x for c, column in _columns(
+        module, i, j, (), module._nonzero[j]).items()
                for r, x in column.items()}
     return SparseMatrix(nrows, ncols, entries)
 
@@ -385,34 +385,30 @@ def koszul_matrix(module: GradedModule, i: int, j: int) -> SparseMatrix:
 
 def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     """Pivot coordinates of one elimination of integer sparse vectors
-    (consumed), exact or over F_p if ``p``; there are as many as the rank,
-    and past ``MAX_ELIMINATION_WORK`` updates it raises
-    ``ResourceLimitError``.
+    (consumed) that ``p`` divides no entry of, exact or over F_p if ``p``;
+    there are as many as the rank, and past ``MAX_ELIMINATION_WORK``
+    updates it raises ``ResourceLimitError``.
 
     Each pivot vector is zero at the earlier pivot coordinates, so the
     span of the vectors projects isomorphically onto the returned ones.
-    First the singletons are peeled: ``counts`` holds how many vectors
-    meet each coordinate, and a pass over the vectors in order makes a
-    vector that meets a coordinate of count 1 the pivot at the first
-    such coordinate, removes it and lowers the counts of its others; it
-    updates nothing.  The passes stop when one peels nothing, or after
-    ``_PEEL_PASSES``, so a chain peeled one vector per pass stays
-    O(nnz).  Only the vectors left, the core, enter ``where``, which maps
-    each coordinate to the ids of the core vectors that meet it, so a
-    pivot touches only those vectors.  One heap holds the coordinates by
-    the counts the peel leaves (lowest index on ties); a popped count
-    that has gone stale is pushed again as it is now, and a coordinate
-    whose count falls to 1 is pushed as ``(1, c)``, so it pops first.
-    The pivot vector is the sparsest that meets the coordinate.  No core
-    vector meets a peeled pivot, and fill lands only on coordinates that
-    a core vector meets already, so each live one keeps a place in the
-    heap.  Exact vectors are cross-multiplied by the cofactors of
-    ``gcd(pivot, entry)`` and made primitive; over F_p each vector takes
-    off ``entry / pivot`` times the pivot vector, which is not copied.
+    First the singletons are peeled, by supports only: ``counts`` holds
+    how many vectors meet each coordinate, and a pass over the vectors in
+    order makes a vector that meets a coordinate of count 1 the pivot at
+    the first such coordinate, removes it, unnormalised, and lowers the
+    counts of its others.  The passes stop when one peels nothing, or
+    after ``_PEEL_PASSES``, so a chain peeled one vector per pass stays
+    O(nnz).  Only the vectors left, the core, enter ``where``, each
+    coordinate's core vector ids.  One heap holds the coordinates by count
+    (lowest index on ties); a stale popped count is pushed again as it is
+    now, and a count that falls to 1 as ``(1, c)``.  The pivot vector is
+    the sparsest that meets the coordinate; fill lands only where a core
+    vector meets already, so each live coordinate keeps a heap place.
+    Exact vectors are cross-multiplied by the cofactors of ``gcd(pivot,
+    entry)``, then made primitive (the only gcd division); over F_p a
+    vector takes off ``entry / pivot`` times the pivot vector, not copied.
+    So inputs scaled by positive integers, or over F_p by units, give the
+    pivots of the primitive columns.
     """
-    if p:
-        vectors = [{c: v % p for c, v in vec.items() if v % p}
-                   for vec in vectors]
     work = {k: vec for k, vec in enumerate(vectors) if vec}
     # Counted in C; a plain dict is looked up faster than a Counter.
     counts = dict(Counter(itertools.chain.from_iterable(work.values())))
@@ -491,6 +487,27 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     return pivots
 
 
+def _integral(layers, p=None) -> tuple:
+    """The integer view of ``layers`` (rows of nonzero ``(w, x)``) by the
+    module docstring's rule (``pow(v, 1, None)`` is ``v``), and ``None``;
+    if ``p`` divides a scaled entry, the unreduced view and ``p``."""
+    scale = math.lcm(*(x.denominator for layer in layers for row in layer
+                       for _, x in row))
+    if scale == 1 and not p:
+        return layers, None
+    view = tuple(tuple(tuple((w, pow((x * scale).numerator, 1, p)) for w, x
+                             in row) for row in layer) for layer in layers)
+    if all(x for layer in view for row in layer for _, x in row):
+        return view, None
+    return _integral(layers)[0], p
+
+
+def _reduced(columns, p):
+    """``columns``, or with ``p`` each made primitive, then reduced."""
+    return [{r: x for r, v in vec.items() if (x := v // g % p)} for vec
+            in columns for g in [math.gcd(*vec.values())]] if p else columns
+
+
 def _check_modulus(n: int | None) -> None:
     """Refuse a prime-field modulus ``n`` unless it is an ``int`` above
     2**30 that passes Miller-Rabin to the first twelve prime bases."""
@@ -499,40 +516,25 @@ def _check_modulus(n: int | None) -> None:
     _integers(n)
     if n <= 2**30:
         raise ValueError("prime-field modulus must exceed 2**30")
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    if any(n % q == 0 for q in small) or any(
-        pow(a, d, n) != 1
-        and all(pow(a, d << r, n) != n - 1 for r in range(s))
-        for a in small
-    ):
+    if any(n % a == 0 or pow(a, d, n) != 1 and all(
+            pow(a, d << r, n) != n - 1 for r in range(s))
+           for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
         raise ValueError(f"{n} is not prime")
 
 
-def _primitive(columns) -> list[dict]:
-    """Each column as a primitive integer vector (scaling keeps rank)."""
-    vectors = []
-    for vec in columns:
-        try:
-            g = math.gcd(*vec.values())
-        except TypeError:  # a Fraction entry: clear the denominators
-            scale = math.lcm(*(v.denominator for v in vec.values()))
-            vec = {r: int(v * scale) for r, v in vec.items()}
-            g = math.gcd(*vec.values())
-        vectors.append({r: v // g for r, v in vec.items()} if g > 1 else vec)
-    return vectors
-
-
 def matrix_rank(matrix: SparseMatrix, modulus: int | None = None) -> int:
-    """Exact rank, or rank over F_modulus (a lower bound on the exact
-    rank, sharp for all but finitely many primes), by the elimination a
-    Betti walk runs, of the primitive integer columns of ``matrix``."""
+    """Exact rank, or rank over F_modulus (a lower bound on the exact rank,
+    sharp for all but finitely many primes), of the primitive integer
+    columns of ``matrix``, read as one piece by the walk's rule (module
+    docstring), so also where p divides a scaled entry."""
     _check_modulus(modulus)
-    by_col: dict[int, dict] = {}
+    by_col: dict[int, list] = {}
     for (r, c), v in matrix.entries.items():
-        by_col.setdefault(c, {})[r] = v
-    return len(_rank_rows(_primitive(by_col.values()), modulus))
+        by_col.setdefault(c, []).append((r, v))
+    (columns,), q = _integral([by_col.values()], modulus)
+    return len(_rank_rows(_reduced(map(dict, columns), q), modulus))
 
 
 # ---------------------------------------------------------------------
@@ -546,14 +548,14 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     A cell's incoming map ``d_{i+1,j-1}`` is the outgoing map of the
     cell ``(i+1, j-1)``; when that cell came just before, its rank and
     pivots are reused, so walking ``i + j = const`` with ``i`` falling
-    builds each differential once, as the columns it ranks, and keeps
-    only rank and pivots.  All sizes are checked up front.  ``d_{i,j}``
-    is built without the columns at the pivots of ``d_{i+1,j-1}``, valid
-    as ``d_{i,j} o d_{i+1,j-1} = 0``.  For ``i >= 1`` that holds iff
-    piece ``j - 1`` commutes (see the module docstring), so before the
-    first such cell ranks its outgoing map, piece ``j - 1`` is checked
-    once per walk, unless the constructor proved the module's sparse
-    view; at ``i = 0`` the composite is zero.
+    builds each differential once, as the columns it ranks from each
+    piece's one integer view (:func:`_integral`), and keeps only rank and
+    pivots.  All sizes are checked up front.  ``d_{i,j}`` is built without
+    the columns at the pivots of ``d_{i+1,j-1}``, valid as ``d_{i,j} o
+    d_{i+1,j-1} = 0``, which for ``i >= 1`` holds iff piece ``j - 1``
+    commutes (module docstring): that piece is checked once per walk,
+    before the first such cell ranks its outgoing map, unless the
+    constructor proved the module's sparse view.
     """
     for i, j in cells:
         _check_cell(module, i, j)
@@ -565,13 +567,16 @@ def _strands(module: GradedModule, cells, modulus: int | None):
         its columns outside ``skip``, which are never built."""
         if previous is None:  # the walk's first differential
             _check_modulus(modulus)
-        columns = _columns(module, i, j, set(skip)).values()
-        pivots = _rank_rows(_primitive(columns), modulus)
+        if j not in views:
+            views[j] = _integral(module._nonzero[j], modulus)
+        layers, q = views[j]
+        columns = _columns(module, i, j, set(skip), layers).values()
+        pivots = _rank_rows(_reduced(columns, q), modulus)
         rank = len(pivots)
         return (i, j), _check_cell(module, i, j)[1] - rank, rank, pivots
 
     commuting: set[int] = set()
-    previous = None
+    views, previous = {}, None  # each piece's integer view, built once
     for i, j in cells:
         image_dim, skip = 0, ()
         if j >= 1 and i < module.base_dim:
@@ -591,16 +596,13 @@ def _strands(module: GradedModule, cells, modulus: int | None):
 
 def koszul_cohomology(module: GradedModule, i: int, j: int,
                       modulus: int | None = None) -> KoszulStrand:
-    """Strand dimensions at ``(i, j)``.
-
-    ``k_dim = dim ker d_{i,j} - rank d_{i+1,j-1}`` with ``M_{-1} = 0``
-    and ``Wedge^{i+1} V = 0`` when ``i + 1 > base_dim``.  For ``i >= 1``
-    the composite ``d_{i,j} o d_{i+1,j-1}`` must vanish: the constructor
-    proved ``f_l f_m = f_m f_l`` on ``M_{j-1}``, and data built around it
-    is checked here, exactly, raising if inconsistent.  With ``modulus``
-    the reported ranks are high-probability lower bounds, making
-    ``k_dim`` an upper bound.
-    """
+    """Strand dimensions at ``(i, j)``: ``k_dim = dim ker d_{i,j} -
+    rank d_{i+1,j-1}`` with ``M_{-1} = 0`` and ``Wedge^{i+1} V = 0`` when
+    ``i + 1 > base_dim``.  For ``i >= 1`` the composite ``d_{i,j} o
+    d_{i+1,j-1}`` must vanish: the constructor proved ``f_l f_m = f_m f_l``
+    on ``M_{j-1}``, and data built around it is checked here, exactly,
+    raising if inconsistent.  With ``modulus`` the reported ranks are
+    high-probability lower bounds, making ``k_dim`` an upper bound."""
     return next(_strands(module, [(i, j)], modulus))
 
 
@@ -610,16 +612,14 @@ def green_lazarsfeld_Np(module: GradedModule, p: int) -> bool:
     if p < 0:
         raise ValueError("p must be nonnegative")
     if module.top_degree < 3:
-        raise ValueError(
-            "checking the quadratic strand needs graded pieces up to M_3"
-        )
+        raise ValueError("checking the quadratic strand needs graded "
+                         "pieces up to M_3")
     cells = [(i, 2) for i in range(min(p, module.base_dim) + 1)]
     return all(strand.k_dim == 0 for strand in _strands(module, cells, None))
 
 
-def betti_table(
-    module: GradedModule, max_i: int, max_j: int, modulus: int | None = None
-) -> list[list[int]]:
+def betti_table(module: GradedModule, max_i: int, max_j: int,
+                modulus: int | None = None) -> list[list[int]]:
     """Rows ``j = 0..max_j``, columns ``i = 0..max_i`` of ``k_dim``."""
     _integers(max_i, max_j)
     if max_i < 0 or max_j < 0:

@@ -193,15 +193,18 @@ class RingElement:
         return self + (-other)
 
     def __rsub__(self, other: Rational) -> "RingElement":
-        return _coerce(other) - self
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other: "RingElement | Rational") -> "RingElement":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RingElement):
+            try:
+                other = _fraction(other)
+            except TypeError:
+                return NotImplemented
             return RingElement(
                 {k: v * other for k, v in self._terms.items()}
             )
-        if not isinstance(other, RingElement):
-            return NotImplemented
         return RingElement(
             (tuple(ea + eb for ea, eb in zip(ka, kb)), va * vb)
             for ka, va in self._terms.items()
@@ -211,9 +214,11 @@ class RingElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rational) -> "RingElement":
-        if not isinstance(other, (int, Fraction)):
+        try:
+            other = _fraction(other)
+        except TypeError:
             return NotImplemented
-        return self * (Fraction(1) / Fraction(other))
+        return self * (Fraction(1) / other)
 
     def __pow__(self, n: int) -> "RingElement":
         _integers(n)
@@ -268,9 +273,10 @@ def _scalar_element(q: Rational) -> RingElement:
 def _coerce(x: "RingElement | Rational") -> RingElement:
     if isinstance(x, RingElement):
         return x
-    if isinstance(x, (int, Fraction)):
-        return _scalar_element(x)
-    return NotImplemented
+    try:
+        return _scalar_element(_fraction(x))
+    except TypeError:
+        return NotImplemented
 
 
 def _generator(position: int) -> RingElement:
@@ -588,7 +594,8 @@ class KernelPoly(_Record):
         return self + (-other)
 
     def __rsub__(self, other: "RingElement | Rational") -> "KernelPoly":
-        return _coerce_kernel(other) - self
+        other = _coerce_kernel(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other: "KernelPoly | RingElement | Rational") -> "KernelPoly":
         other = _coerce_kernel(other)

@@ -32,6 +32,15 @@ class TestDivisorClass:
         assert k - k == dc.DivisorClass.zero(6)
         assert (3 * k).lambda_coeff == 39
 
+    @pytest.mark.parametrize("scalar", [True, False, 1.0])
+    def test_scaling_by_a_non_rational_is_refused(self, scalar):
+        # A bool is no rational 1 or 0.
+        k = dc.kappa1(4)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            scalar * k
+        with pytest.raises(TypeError, match="unsupported operand"):
+            k * scalar
+
     def test_negative_scaling_of_lower_bounds_is_refused(self):
         d = make(6, 1, 1, 1, 1, 1, flags={2})
         with pytest.raises(ValueError):

@@ -122,13 +122,26 @@ def dense_product(a: K.SparseMatrix, b: K.SparseMatrix) -> dict:
 
 def pivot_rows(matrix: K.SparseMatrix, modulus=None, skip=()) -> list:
     """The pivot rows of one elimination of ``matrix``'s columns outside
-    ``skip``, grouped from its entries in entry order, as a walk ranks
-    them: distinct independent rows, as many as those columns' rank."""
+    ``skip``, grouped from its entries in entry order, each column made
+    integral and primitive on its own (its denominators cleared, then
+    divided by its gcd) and then reduced mod ``modulus``: the per-column
+    rule that a walk's integer view must reproduce.  They are distinct
+    independent rows, as many as those columns' rank."""
     columns: dict[int, dict] = {}
     for (r, c), v in matrix.entries.items():
         if c not in skip:
-            columns.setdefault(c, {})[r] = v
-    return K._rank_rows(K._primitive(columns.values()), modulus)
+            columns.setdefault(c, {})[r] = Fraction(v)
+    vectors = []
+    for column in columns.values():
+        scale = math.lcm(*(v.denominator for v in column.values()))
+        column = {r: int(v * scale) for r, v in column.items()}
+        g = math.gcd(*column.values())
+        column = {r: v // g for r, v in column.items()}
+        if modulus:
+            column = {r: v % modulus for r, v in column.items()
+                      if v % modulus}
+        vectors.append(column)
+    return K._rank_rows(vectors, modulus)
 
 
 def assert_exact_entries(matrix: K.SparseMatrix, expected: dict) -> None:
@@ -645,6 +658,49 @@ class TestModulus:
         with pytest.raises(TypeError, match=message):
             K.matrix_rank(K.koszul_matrix(module, 1, 0), modulus)
 
+    P = K.DEFAULT_PRIME
+
+    @pytest.mark.parametrize("scales", [
+        (P, 1, 1), (Fraction(1, P), 1, 1), (P * P, P, P),
+    ], ids=["f0_times_p", "f0_over_p", "f0_times_p2_others_times_p"])
+    def test_p_dividing_an_entry_keeps_the_primitive_answer(
+            self, monkeypatch, scales):
+        # Scaled as a piece, some column of these modules vanishes mod p
+        # while its primitive form does not.  Over F_p the answers are
+        # those of the primitive integer columns, pinned here as the
+        # per-column rule gave them; a view reduced mod p as it stands
+        # gives other tables and ranks.
+        p = K.DEFAULT_PRIME
+        data = K.module_to_json(K.polynomial_ring_module(3, 3))
+        data["mult"] = [[[[str(Fraction(x) * scales[l]) for x in row]
+                          for row in layer] for l, layer in enumerate(tensor)]
+                        for tensor in data["mult"]]
+        module = K.module_from_json(data)
+        built, pivots = [], []
+        columns, rank_rows = K._columns, K._rank_rows
+
+        def recording_columns(module, i, j, skip, layers):
+            built.append((i, j, set(skip)))
+            return columns(module, i, j, skip, layers)
+
+        def recording_rank(vectors, modulus=None):
+            pivots.append(rank_rows(vectors, modulus))
+            return pivots[-1]
+
+        monkeypatch.setattr(K, "_columns", recording_columns)
+        monkeypatch.setattr(K, "_rank_rows", recording_rank)
+        assert K.betti_table(module, 3, 2, p) == [
+            [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        monkeypatch.undo()
+        # the walk's pivots are the per-column rule's, cell by cell
+        assert len(built) == len(pivots) == 12
+        for (i, j, skip), rows in zip(built, pivots):
+            matrix = K.koszul_matrix(module, i, j)
+            assert pivot_rows(matrix, p, skip) == rows, (i, j)
+        assert [K.matrix_rank(K.koszul_matrix(module, i, j), p)
+                for i in range(1, 4) for j in range(3)] == [
+            3, 6, 10, 3, 8, 15, 1, 3, 6]
+
     def test_tested_once_per_walk(self, monkeypatch):
         calls, check = [], K._check_modulus
 
@@ -1014,9 +1070,9 @@ class TestBettiTable:
         built, ranked = [], []
         build, rank = K._columns, K._rank_rows
 
-        def counting_build(module, i, j, skip):
+        def counting_build(module, i, j, skip, layers):
             built.append((i, j))
-            return build(module, i, j, skip)
+            return build(module, i, j, skip, layers)
 
         def counting_rank(vectors, p=None):
             ranked.append(id(vectors))
@@ -1117,9 +1173,9 @@ class TestDSquaredFromCommutativity:
         module = around_the_constructor(ring, 1, 0, 1)
         built, build = [], K._columns
 
-        def recording(module, i, j, skip):
+        def recording(module, i, j, skip, layers):
             built.append((i, j))
-            return build(module, i, j, skip)
+            return build(module, i, j, skip, layers)
 
         monkeypatch.setattr(K, "_columns", recording)
         with pytest.raises(ValueError, match=r"d_\(1,1\) o d_\(2,0\)"):
@@ -1245,8 +1301,8 @@ class TestColumnBuilder:
                 seen.append(strand)
                 yield strand
 
-        def recording_columns(module, i, j, skip):
-            out = columns(module, i, j, skip)
+        def recording_columns(module, i, j, skip, layers):
+            out = columns(module, i, j, skip, layers)
             built.append(((i, j), set(skip), set(out)))
             return out
 

@@ -227,6 +227,10 @@ def test_fields_are_normalised():
     assert psi.Correlator(2, [3, 0, 1]).exponents == (0, 1, 3)
     assert bn.LinearSeriesData(2, 1, 2, [0, 1]).vanishing == (0, 1)
     assert bn.TreeCurve((1, 2, 0), [(1, 0), (2, 1)]).edges == ((0, 1), (1, 2))
+    curve = bn.TreeCurve([1, 1], [(0, 1)])
+    assert curve.component_genera == (1, 1)
+    assert curve == bn.TreeCurve((1, 1), [(0, 1)])
+    assert hash(curve) == hash(bn.TreeCurve((1, 1), [(0, 1)]))
     module = koszul.GradedModule(1, [1, 1], [[[[1]]]])
     assert module.piece_dims == (1, 1)
     assert module.mult == ((((F(1),),),),)

@@ -37,6 +37,29 @@ FROZEN_TABLE = Path(__file__).parent / "data" / "w217_pushforward.json"
 
 
 class TestNormalForm:
+    @pytest.mark.parametrize("scalar", [True, False, 1.0])
+    def test_multiplication_by_a_non_rational_is_refused(self, scalar):
+        # A bool is no rational 1 or 0.
+        with pytest.raises(TypeError, match="unsupported operand"):
+            scalar * THETA
+        with pytest.raises(TypeError, match="unsupported operand"):
+            THETA * scalar
+
+    @pytest.mark.parametrize("scalar", [True, 1.0])
+    def test_division_by_a_non_rational_is_refused(self, scalar):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            THETA / scalar
+
+    @pytest.mark.parametrize("scalar", [True, False, 1.0])
+    def test_addition_of_a_non_rational_is_refused(self, scalar):
+        # Subtraction from a non-rational is refused too, not recursed.
+        kernel = KernelPoly(linear=ONE)
+        for element in (THETA, kernel):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                element + scalar
+            with pytest.raises(TypeError, match="unsupported operand"):
+                scalar - element
+
     def test_eta_squared_vanishes(self):
         assert ETA * ETA == ZERO
         assert ETA * GAMMA == ZERO

@@ -10,8 +10,9 @@ that data we build the Koszul differentials
         = sum_l (-1)^l  f_{s_0} ^ ... f-hat_{s_l} ... (x) (u f_{s_l}),
 
 and report the strand dimensions K_{i,j} = ker d_{i,j} / im d_{i+1,j-1}
-by exact rank computations.  A module's entries are read in one pass per
-row into a sparse view, from which the dense tensor is derived if read.
+by exact rank computations.  A module's rows are read into a sparse view,
+from which the dense tensor is derived if read; a row of strings, as
+module JSON has, is read by its distinct values (:func:`_load`).
 A Betti table builds each differential once, as the column vectors that
 one sparse elimination ranks (a singleton peel, then one heap by count),
 over the integers or, in the optional prime-field mode, over F_p (ranks
@@ -58,6 +59,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 
@@ -119,25 +121,82 @@ class _Memo(dict):
         return y
 
 
+# Most distinct values a row of strings may hold to be read by value
+# (:func:`_load`), each at the cost of a scan of the row; a row with more
+# is read entry by entry.  Rows of the benchmark's modules hold 2 or 3.
+_BY_VALUE = 8
+
+# The entry types that a row read entry by entry may take from the memo.
+_PLAIN = frozenset({int, str, Fraction})
+
+
+def _array(value):
+    """``value``, unless it is text, bytes or a mapping, which iterate as
+    characters, byte values or keys where an array of rows or entries
+    belongs."""
+    if type(value) is not list and isinstance(value, (str, bytes, Mapping)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _row(entries, exact: _Memo) -> tuple:
+    """The nonzero ``(w, x)`` of one row, a list or tuple, by the rule of
+    :func:`_load`, converted through the memo ``exact``.  Only a ``str``
+    equals a ``str``, so the types of the distinct values tell that every
+    entry is one.  Entry by entry, a row of only ``int``, ``str`` and
+    ``Fraction`` entries reads each from ``exact``, where no ``bool`` or
+    float meets an ``int``'s slot; any other row goes through ``_exact``,
+    which raises on the first bad entry.
+    """
+    try:
+        distinct = set(entries)
+    except TypeError:  # an unhashable entry
+        distinct = None
+    if distinct is not None and len(distinct) <= _BY_VALUE:
+        pairs = []
+        for text in distinct:
+            if type(text) is not str:
+                break
+            try:
+                x = exact[text]
+            except ValueError:  # named below, the first bad entry in order
+                break
+            if x:
+                w = -1
+                for _ in range(entries.count(text)):
+                    w = entries.index(text, w + 1)
+                    pairs.append((w, x))
+        else:
+            pairs.sort()
+            return tuple(pairs)
+    values = tuple(map(exact.__getitem__ if set(map(type, entries)) <= _PLAIN
+                       else _exact, entries))
+    return tuple(zip(itertools.compress(itertools.count(), values),
+                     filter(None, values)))
+
+
 def _load(mult) -> tuple[tuple, list]:
-    """The sparse view of ``mult``, the nonzero ``(w, x)`` of each row with
-    integral ``x`` as ``int``, and the length of each row, in one pass.
-    Entries repeat, so a row of only ``int``, ``str`` and ``Fraction``
-    entries reads each from a memo of ``_exact``, where no ``bool`` or
-    float meets an ``int``'s slot; any other row goes through ``_exact``
-    entry by entry, which raises on the first bad one.
+    """The sparse view of ``mult``, the nonzero ``(w, x)`` of each row
+    with integral ``x`` as ``int``, and the length of each row, reading
+    each array once.
+
+    A row of at most ``_BY_VALUE`` distinct strings is read by value: each
+    distinct string is converted once, a zero is dropped without a scan,
+    and the places of a nonzero one are found by ``count`` and ``index``,
+    scans in C.  So the row costs at most ``_BY_VALUE`` scans, and the work
+    stays linear in its length.  Any other row is read entry by entry, and
+    so is a row with a bad string, so that its first bad entry is named.
+    A row that is no list is read into a tuple; text, bytes or a mapping
+    where the tensors, layers or rows belong is refused.
     """
     exact = _Memo()
-    plain = {int, str, Fraction}
     nonzero, lengths = [], []
-    for tensor in mult:
-        rows = [[tuple(map(exact.__getitem__ if set(map(type, entries))
-                           <= plain else _exact, entries))
-                 for entries in layer] for layer in tensor]
-        nonzero.append(tuple(tuple(tuple(zip(
-            itertools.compress(itertools.count(), values),
-            filter(None, values))) for values in layer) for layer in rows))
-        lengths.append([list(map(len, layer)) for layer in rows])
+    for tensor in _array(mult):
+        layers = [[row if type(row) is list else tuple(_array(row))
+                   for row in _array(layer)] for layer in _array(tensor)]
+        nonzero.append(tuple(tuple([_row(row, exact) for row in layer])
+                             for layer in layers))
+        lengths.append([list(map(len, layer)) for layer in layers])
     return tuple(nonzero), lengths
 
 
@@ -720,12 +779,12 @@ def module_from_json(data) -> GradedModule:
     """Build a module from ``{"base_dim", "pieces", "mult"}`` where
     ``mult[j][l][u][w]`` holds rational strings or integers and the
     sizes are JSON integers; accepts a JSON string or an already-parsed
-    mapping."""
-    if isinstance(data, str):
-        import json
-
-        data = json.loads(data)
+    mapping; a JSON syntax error is malformed data too."""
     try:
+        if isinstance(data, str):
+            import json
+
+            data = json.loads(data)
         base_dim, pieces = data["base_dim"], tuple(data["pieces"])
         _integers(base_dim, *pieces)
         loaded = _load(data["mult"])

@@ -18,7 +18,10 @@ do those for a module whose commutativity check would visit more than
 ``koszul.MAX_COMMUTATIVITY_WORK`` product terms.  The ``bn liaison``
 entries with a negative residual degree (``INFEASIBLE``) or a negative
 ``g`` or ``d`` (exit 1), and the ``bn quadrics`` entries with ``r < 0``
-(exit 1), pin those refusals.
+(exit 1), pin those refusals, and so do the Koszul entries whose module
+file holds text or an object where a row belongs, or is no JSON at all
+(exit 1).  Every Koszul module file is written as JSON, except a file
+given as text, which is written as it is.
 
 Koszul module files are written under fixed relative names into a
 scratch working directory, because ``inputs.input`` echoes the path.
@@ -65,9 +68,20 @@ def write_modules(directory: Path) -> None:
             "base_dim": 2000, "pieces": [1, 1, 1],
             "mult": [[[[1]]] * 2000] * 2,
         },
+        # Text or an object where a row belongs: no row ["1", "0"] or ["5"].
+        "text_row.json": {
+            "base_dim": 1, "pieces": [1, 2, 1],
+            "mult": [[["10"]], [["1", "1"]]],
+        },
+        "object_row.json": {
+            "base_dim": 1, "pieces": [1, 1], "mult": [[[{"5": 1}]]],
+        },
+        # Written as it is: no JSON at all.
+        "empty.json": "",
     }
     for name, data in files.items():
-        (directory / name).write_text(json.dumps(data), encoding="utf-8")
+        text = data if isinstance(data, str) else json.dumps(data)
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def capture(argv: list[str]) -> dict:

@@ -11,7 +11,10 @@ decimal exponents, ``None``, nested containers) and arbitrary trees
 :class:`mgbar.ResourceLimitError` instead), and so must every
 divisor-class record handed to
 :meth:`mgbar.divclass.DivisorClass.from_json_dict` with coefficients
-drawn from the same rational strings.
+drawn from the same rational strings.  A loaded module holds what its
+JSON arrays spell, and the loader's sparse view of random rows of
+rational strings, which it reads by value, equals an entry-by-entry
+reading of the dense rows.
 Nothing else may escape, and each case must finish within a CPU budget
 that stops a runaway case.
 """
@@ -132,6 +135,14 @@ def _wide(base_dim: int) -> dict:
             "mult": [[[[1]]] * base_dim] * 2}
 
 
+def _only_arrays(mult) -> bool:
+    """Whether ``mult`` is JSON arrays down to its entries."""
+    return type(mult) is list and all(
+        type(tensor) is list and all(
+            type(layer) is list and all(type(row) is list for row in layer)
+            for layer in tensor) for tensor in mult)
+
+
 @FUZZ
 @given(module_data())
 @example(_one_entry("1/0"))
@@ -143,6 +154,16 @@ def _wide(base_dim: int) -> dict:
 @example(_one_row(["2", "1e1001"]))
 # A commutativity check of 2 000 * 1 999 product terms.
 @example(_wide(2000))
+# Text or an object where an array belongs: no 1 x 1 module, no entry "5"
+# and no row ["1", "0"] may be read from these.
+@example(dict(_one_entry("1"), mult=["1"]))
+@example(dict(_one_entry("1"), mult=[["1"]]))
+@example(dict(_one_entry("1"), mult=[[["7"]]]))
+@example(dict(_one_entry("1"), mult=[[[{"5": 1}]]]))
+@example({"base_dim": 1, "pieces": [1, 2, 1],
+          "mult": [[["10"]], [["1", "1"]]]})
+# No JSON at all.
+@example("")
 def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
     start = time.process_time()
     try:
@@ -152,7 +173,58 @@ def test_random_module_json_loads_or_raises_value_error(cpu_budget, data):
         pass
     else:
         assert isinstance(module, koszul.GradedModule), data
+        # Only JSON arrays are read as tensors, layers and rows, and each
+        # entry as the rational it spells.
+        mult = (json.loads(data) if isinstance(data, str) else data)["mult"]
+        assert _only_arrays(mult), data
+        assert module.mult == tuple(tuple(tuple(tuple(
+            Fraction(x) for x in row) for row in layer) for layer in tensor)
+            for tensor in mult), data
     assert time.process_time() - start < BUDGET_S, data
+
+
+# Zero in other spellings, and small rationals spelled as JSON gives them.
+ZEROS = ["0", "-0", "00", "0/7", " 0 ", "0.0"]
+rationals = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def rows(draw):
+    """A row over a palette of distinct strings, up to twice as many as
+    ``koszul._BY_VALUE``, with an ``int`` in one place now and then."""
+    palette = draw(st.lists(st.one_of(st.sampled_from(ZEROS), rationals,
+                                      st.integers(-3, 3).map(str)),
+                            min_size=1, max_size=2 * koszul._BY_VALUE,
+                            unique=True))
+    row = draw(st.lists(st.sampled_from(palette), max_size=30))
+    if row and not draw(st.integers(0, 3)):
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(-2, 2))
+    return row
+
+
+def sparse_reference(mult) -> tuple:
+    """The nonzero ``(w, x)`` of each row, integral ``x`` as ``int``, read
+    entry by entry from the dense rows, and the row lengths."""
+    exact = [[[[Fraction(x) for x in row] for row in layer]
+              for layer in tensor] for tensor in mult]
+    nonzero = tuple(tuple(tuple(tuple(
+        (w, x.numerator if x.denominator == 1 else x)
+        for w, x in enumerate(row) if x) for row in layer) for layer in tensor)
+        for tensor in exact)
+    lengths = [[[len(row) for row in layer] for layer in tensor]
+               for tensor in mult]
+    return nonzero, lengths
+
+
+@FUZZ
+@given(st.lists(st.lists(st.lists(rows(), max_size=4), max_size=3),
+                max_size=2))
+@example([[[["0"] * 5 + ["-0", "0/7", "1/2"]]]])
+@example([[[[str(k) for k in range(2 * koszul._BY_VALUE)]]]])
+def test_rows_of_strings_load_as_read_entry_by_entry(mult):
+    loaded = koszul._load(mult)
+    # repr tells an int from an integral Fraction.
+    assert repr(loaded) == repr(sparse_reference(mult)), mult
 
 
 # -- divisor-class JSON --------------------------------------------------

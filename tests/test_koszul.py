@@ -15,6 +15,7 @@ import json
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -1583,6 +1584,71 @@ class TestSerialization:
             K.module_from_json(data)
         with pytest.raises(ValueError, match="malformed module data"):
             K.module_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("pieces, mult", [
+        ([1, 1], "1"),
+        ([1, 1], ["1"]),
+        ([1, 1], [["1"]]),
+        ([1, 1], [[["7"]]]),
+        ([1, 1], [[[{"5": 1}]]]),
+        ([1, 1], {"0": [[["1"]]]}),
+        # The row "10" is no row ["1", "0"].
+        ([1, 2, 1], [[["10"]], [["1", "1"]]]),
+    ])
+    def test_text_or_an_object_is_no_array(self, pieces, mult):
+        data = {"base_dim": 1, "pieces": pieces, "mult": mult}
+        for form in (data, json.dumps(data)):
+            with pytest.raises(ValueError, match="malformed module data: "
+                               "expected an array, got (str|dict)$"):
+                K.module_from_json(form)
+        with pytest.raises(TypeError, match="expected an array"):
+            K.GradedModule(1, pieces, mult)
+
+    def test_bytes_are_no_row_but_any_other_iterable_is(self):
+        with pytest.raises(TypeError, match="expected an array, got bytes"):
+            K.GradedModule(1, (1, 2), [[[b"\x01\x00"]]])
+        expected = K.GradedModule(1, (1, 2), [[[["1", "0"]]]])
+        for mult in ([[[("1", "0")]]], [[[iter(["1", "0"])]]],
+                     [[iter([["1", "0"]])]], (iter([[["1", "0"]]]),)):
+            assert K.GradedModule(1, (1, 2), mult) == expected
+
+    def test_a_json_syntax_error_is_malformed_data(self):
+        for text in ("", "{", '{"base_dim": 1,}'):
+            with pytest.raises(ValueError, match="malformed module data: "
+                               "Expecting"):
+                K.module_from_json(text)
+
+    @pytest.mark.parametrize("row, named", [
+        (["0", "x", "1/0"], "Invalid literal for Fraction: 'x'"),
+        (["0", "1/0", "x"], "zero denominator in '1/0'"),
+        (["1", "x", "2", "1/0", "x"], "Invalid literal for Fraction: 'x'"),
+        (["1/0", "1", True], "zero denominator in '1/0'"),
+        (["1", True, "1/0"], "cannot interpret True"),
+    ])
+    def test_the_first_bad_entry_in_the_row_is_named(self, row, named):
+        # A row of strings is read by value, in no fixed order of its
+        # distinct values; the message still names the first bad entry.
+        data = {"base_dim": 1, "pieces": [1, len(row)], "mult": [[[row]]]}
+        with pytest.raises(ValueError, match=f"malformed module data: "
+                           f"{re.escape(named)}"):
+            K.module_from_json(data)
+
+    def test_a_long_row_of_distinct_strings_is_read_in_linear_time(
+            self, cpu_budget):
+        # 100 000 distinct strings, read entry by entry (a scan of the row
+        # per distinct value would take 10**10 steps), and 100 000 entries
+        # of 8 distinct ones, read by value.
+        rows = [[str(k) for k in range(100_000)],
+                [str(k % K._BY_VALUE + 1) for k in range(100_000)]]
+        for row in rows:
+            data = {"base_dim": 1, "pieces": [1, len(row)],
+                    "mult": [[[row]]]}
+            start = time.process_time()
+            with cpu_budget(5.0):
+                module = K.module_from_json(data)
+            assert time.process_time() - start < 5.0
+            assert module._nonzero[0][0][0][-1] == (99_999, int(row[-1]))
+            assert len(module._nonzero[0][0][0]) == 100_000 - (row[0] == "0")
 
     def test_repeated_strings_parse_like_fraction(self):
         texts = ["1", " -2 ", "3/6", "0.25", "1e2", "-0", "007"]

@@ -779,7 +779,8 @@ def module_from_json(data) -> GradedModule:
     """Build a module from ``{"base_dim", "pieces", "mult"}`` where
     ``mult[j][l][u][w]`` holds rational strings or integers and the
     sizes are JSON integers; accepts a JSON string or an already-parsed
-    mapping; a JSON syntax error is malformed data too."""
+    mapping; a JSON syntax error, or nesting too deep for ``json.loads``,
+    is malformed data too."""
     try:
         if isinstance(data, str):
             import json
@@ -788,7 +789,7 @@ def module_from_json(data) -> GradedModule:
         base_dim, pieces = data["base_dim"], tuple(data["pieces"])
         _integers(base_dim, *pieces)
         loaded = _load(data["mult"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc
     module = GradedModule.__new__(GradedModule)
     module._fill(base_dim, _dims(base_dim, pieces), *loaded)

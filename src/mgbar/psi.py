@@ -43,6 +43,10 @@ The pair sum is evaluated over its nonzero terms only:
 * ``(a, b, g1, I) -> (b, a, g-g1, J)`` maps terms to equal terms, so only
   ``a <= b`` is visited and the ``a < b`` terms are doubled.
 
+String and bump terms come one per group of equal exponents of ``rest``,
+times the group's size.  Every child key is built sorted, and is looked up
+in the memo where it is built; the recursion is entered only on a miss.
+
 Correlators that are off-dimension, unstable, or carry a negative
 exponent vanish.  The string and dilaton equations are applied first
 when a 0 or 1 exponent is available (they are consequences of the same
@@ -64,6 +68,7 @@ genus-0 multinomial formula, and the slope-bound ratio assembled in
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, NamedTuple
@@ -199,12 +204,7 @@ def cache_clear() -> None:
 def _value(g: int, exps: tuple[int, ...]) -> int:
     """The integer ``V(g; exps)``; exps must be sorted.  Returns 0 off the cone."""
     global _hits, _misses
-    # Looked up first: only on-cone keys other than the seeds are stored.
-    key = (g, exps)
-    cached = _memo.get(key)
-    if cached is not None:
-        _hits += 1
-        return cached
+    # Called on a memo miss; on-cone keys other than the seeds are stored.
     n = len(exps)
     if g < 0 or (exps and exps[0] < 0):
         return 0
@@ -223,69 +223,96 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
             f"evaluation needs more than {MAX_NEW_ENTRIES} new memo entries"
         )
 
-    if exps[0] == 0 and n >= 2:
-        # String equation.
-        rest = exps[1:]
-        total = 0
-        for j, a in enumerate(rest):
-            if a == 0:
-                continue
-            total += (2 * a + 1) * _value(
-                g, tuple(sorted(rest[:j] + (a - 1,) + rest[j + 1 :]))
-            )
-        total *= 2
-    elif exps[0] == 1 and n >= 2:
-        # Dilaton equation (the remaining correlator is stable here).
-        rest = exps[1:]
-        total = 6 * (2 * g - 2 + n - 1) * _value(g, rest)
-    else:
-        # Full recursion on the insertion of smallest exponent (>= 2
-        # here, since string/dilaton took exponents 0 and 1).  Choosing
-        # the smallest keeps the genus-lowering term's new exponents
-        # small, so they are absorbed by string/dilaton instead of
-        # widening the correlator.
-        a_pick = exps[0]
-        rest = exps[1:]
-        k = a_pick - 1
-        groups = [(v, len(list(run))) for v, run in groupby(rest)]
-        total = 0
-        for v, count in groups:
-            j = rest.index(v)
-            bumped = tuple(sorted(rest[:j] + (v + k,) + rest[j + 1 :]))
-            total += count * (2 * v + 1) * _value(g, bumped)
-        total *= 2
-        # Sub-multisets I of rest with J = rest - I, as (I, J, number of
-        # index subsets giving I, sum(I) + 2 - |I|), built one group of
-        # equal exponents at a time and bucketed by that shift mod 3.
-        splits = [((), (), 1, 2)]
-        for v, count in groups:
-            splits = [
-                (left + (v,) * t, right + (v,) * (count - t),
-                 ways * math.comb(count, t), shift + t * (v - 1))
-                for left, right, ways, shift in splits
-                for t in range(count + 1)
-            ]
-        buckets = ([], [], [])
-        for split in splits:
-            buckets[split[3] % 3].append(split)
-        del splits  # the buckets hold every split through the recursion
-        # a <= b <= a_pick - 2 < min(rest), and left and right are built
-        # in group order, so every key below is sorted as it is built.
-        for a in range((k + 1) // 2):
-            b = k - 1 - a
-            term = 4 * _value(g - 1, (a, b) + rest)
-            for left, right, ways, shift in buckets[-a % 3]:
-                # <tau_a tau_I>_{g1} is on-dimension only for this g1.
-                g1 = (a + shift) // 3
-                if not 0 <= g1 <= g:
-                    continue
-                lhs = _value(g1, (a,) + left)
-                if lhs:
-                    term += ways * lhs * _value(g - g1, (b,) + right)
-            # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
-            total += term if a == b else 2 * term
+    hits = 0  # added to _hits in the finally, also on a refusal
+    rest = exps[1:]
+    try:
+        if exps[0] == 0 and n >= 2:
+            # String equation.  A group's first index takes the decrement,
+            # so the key stays sorted.
+            total = 0
+            for v in dict.fromkeys(rest):
+                if v:
+                    j = rest.index(v)
+                    child = rest[:j] + (v - 1,) + rest[j + 1 :]
+                    if (value := _memo.get((g, child))) is None:
+                        value = _value(g, child)
+                    else:
+                        hits += 1
+                    total += rest.count(v) * (2 * v + 1) * value
+            total *= 2
+        elif exps[0] == 1 and n >= 2:
+            # Dilaton equation (the remaining correlator is stable here).
+            if (total := _memo.get((g, rest))) is None:
+                total = _value(g, rest)
+            else:
+                hits += 1
+            total *= 6 * (2 * g - 2 + n - 1)
+        else:
+            # Full recursion on the smallest exponent (>= 2 here): the
+            # genus-lowering term's new exponents stay small, so string and
+            # dilaton absorb them instead of widening the correlator.
+            k = exps[0] - 1
+            groups = [(v, len(list(run))) for v, run in groupby(rest)]
+            total = 0
+            for v, count in groups:
+                # v + k > v goes in after the group of v: the key is sorted.
+                j = rest.index(v)
+                i = bisect_right(rest, v + k, j + count)
+                child = rest[:j] + rest[j + 1 : i] + (v + k,) + rest[i:]
+                if (value := _memo.get((g, child))) is None:
+                    value = _value(g, child)
+                else:
+                    hits += 1
+                total += count * (2 * v + 1) * value
+            total *= 2
+            # Sub-multisets I of rest with J = rest - I, as (I, J, number of
+            # index subsets giving I, sum(I) + 2 - |I|), built one group of
+            # equal exponents at a time and bucketed by that shift mod 3.
+            splits = [((), (), 1, 2)]
+            for v, count in groups:
+                splits = [
+                    (left + (v,) * t, right + (v,) * (count - t),
+                     ways * math.comb(count, t), shift + t * (v - 1))
+                    for left, right, ways, shift in splits
+                    for t in range(count + 1)
+                ]
+            buckets = ([], [], [])
+            for split in splits:
+                buckets[split[3] % 3].append(split)
+            del splits  # the buckets hold every split through the recursion
+            # a <= b <= k - 1 < min(rest), and left and right are built in
+            # group order, so every key below is sorted as it is built.
+            for a in range((k + 1) // 2):
+                b = k - 1 - a
+                child = (a, b) + rest
+                if (term := _memo.get((g - 1, child))) is None:
+                    term = _value(g - 1, child)
+                else:
+                    hits += 1
+                term *= 4
+                for left, right, ways, shift in buckets[-a % 3]:
+                    # <tau_a tau_I>_{g1} is on-dimension only for this g1.
+                    g1 = (a + shift) // 3
+                    if not 0 <= g1 <= g:
+                        continue
+                    child = (a,) + left
+                    if (lhs := _memo.get((g1, child))) is None:
+                        lhs = _value(g1, child)
+                    else:
+                        hits += 1
+                    if lhs:
+                        child = (b,) + right
+                        if (rhs := _memo.get((g - g1, child))) is None:
+                            rhs = _value(g - g1, child)
+                        else:
+                            hits += 1
+                        term += ways * lhs * rhs
+                # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
+                total += term if a == b else 2 * term
+    finally:
+        _hits += hits
 
-    _memo[key] = total
+    _memo[g, exps] = total
     return total
 
 
@@ -297,12 +324,15 @@ def correlator_value(c: Correlator) -> Fraction:
     already finished.  A call that finds ``MAX_NEW_ENTRIES`` entries or
     more in the memo empties it first.
     """
-    global _miss_limit
+    global _hits, _miss_limit
     _check_dimension(c.dimension)
     if len(_memo) >= MAX_NEW_ENTRIES:
         _memo.clear()
     _miss_limit = _misses + MAX_NEW_ENTRIES
-    value = _value(c.genus, c.exponents)
+    if (value := _memo.get((c.genus, c.exponents))) is None:
+        value = _value(c.genus, c.exponents)
+    else:
+        _hits += 1
     if not value:
         # Off dimension, where an exponent can be too large for the scale.
         return Fraction(0)

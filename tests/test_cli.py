@@ -186,6 +186,15 @@ class TestKoszulCommands:
         )
         assert message.startswith("error:")
 
+    def test_deeply_nested_file_is_malformed_data(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        message = run_err(
+            capsys, "koszul", "betti", "--input", str(path),
+            "--max-i", "1", "--max-j", "1",
+        )
+        assert message.startswith("error: malformed module data: ")
+
 
 class TestJsonMode:
     def test_record_shape(self, capsys):

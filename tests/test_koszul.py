@@ -1524,6 +1524,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             K.module_from_json({"pieces": [1, 2]})
 
+    def test_nesting_too_deep_to_decode_is_malformed(self):
+        # json.loads raises RecursionError, which must not escape as a
+        # RuntimeError of its own
+        for blob in ("[" * 100_000,
+                     '{"base_dim": 1, "pieces": [1], "mult": '
+                     + "[" * 100_000 + "]" * 100_000 + "}"):
+            with pytest.raises(ValueError, match="malformed module data: "):
+                K.module_from_json(blob)
+
     def test_non_nested_mult_is_malformed(self):
         with pytest.raises(ValueError, match="malformed module data"):
             K.module_from_json({"base_dim": 2, "pieces": [1, 2], "mult": 5})

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -79,6 +80,23 @@ def dvv_on_largest(g, exps):
                              * val_or_zero(g - g1, [b] + right))
         pairs += double_factorial(2 * a + 1) * double_factorial(2 * b + 1) * term
     return (total + pairs / 2) / double_factorial(2 * k + 3)
+
+
+def balanced(total, n):
+    """``n`` exponents summing to ``total``, as even as possible, in the
+    shape of the benchmark's many-point correlators."""
+    return [total // n + (1 if k < total % n else 0) for k in range(n)]
+
+
+def equal_exponent_cases():
+    """Balanced on-dimension data at g <= 4 with a group of 4 to 8 equal
+    exponents, with and without a ``tau_0`` in front."""
+    for g in range(5):
+        for n in range(4, 9):
+            for exps in (balanced(3 * g - 3 + n, n),
+                         [0] + balanced(3 * g - 2 + n, n)):
+                if 4 <= max(map(exps.count, exps)) <= 8:
+                    yield g, sorted(exps)
 
 
 @st.composite
@@ -239,6 +257,19 @@ class TestIndependentOracles:
     def test_dvv_pivoted_on_the_largest_exponent_exhaustively(self, g, exps):
         assert dvv_on_largest(g, exps) == val(g, *exps)
 
+    # The grouped string and bump terms and the keys built by insertion
+    # meet groups of every size from 4 to 8 here (35 cases).
+    @pytest.mark.parametrize("g, exps", list(equal_exponent_cases()))
+    def test_equal_exponents_by_string_and_largest_pivot(self, g, exps):
+        psi.cache_clear()
+        value = val(g, *exps)
+        assert value > 0
+        if exps[0] == 0:
+            reduced = psi.string_reduce(Correlator(g, exps))
+            assert value == sum(map(correlator_value, reduced), Fraction(0))
+        if exps[-1] >= 2:
+            assert value == dvv_on_largest(g, exps)
+
 
 class TestReductions:
     def test_string_reduce_shape(self):
@@ -376,9 +407,12 @@ class TestRecursionWork:
         monkeypatch.setattr(psi, "_value", counted)
         assert psi.pand_bound(22) == Fraction(30, 13)
         assert len(psi._memo) == 5549
-        # a loop over every genus of the split sum makes 652 283 calls; the
-        # split sum over nonzero terms makes exactly this many
-        assert calls == 31_541
+        # Every key is looked up in the memo where it is built, and only a
+        # miss enters _value.  A loop over every genus of the split sum
+        # makes 652 283 lookups; the split sum over nonzero terms makes
+        # exactly this many, each a hit or a call.
+        assert calls + psi.cache_info().hits == 31_541
+        assert calls == 7_370
         # and the memo it leaves is pinned: counters and a checksum of every
         # entry, so that a change of the split enumeration shows here
         assert psi.cache_info() == (24171, 5549, 5549)
@@ -388,12 +422,15 @@ class TestRecursionWork:
         assert psi.MAX_NEW_ENTRIES >= 4 * 5549
 
     def test_every_key_is_sorted_as_built(self, monkeypatch):
-        """``_value`` builds the keys of its DVV pair sum, ``(a, b) + rest``,
-        ``(a,) + left`` and ``(b,) + right``, without sorting them: the
-        pivot is the smallest exponent, so ``a <= b <= a_pick - 2 <
-        min(rest)``, and ``left``/``right`` come in group order.  An
-        unsorted key would be a second memo entry for one correlator, or
-        reach the recursion with its pivot not the smallest exponent."""
+        """``_value`` builds its child keys without sorting them: a string
+        decrement replaces the first exponent of its group, a bump goes in
+        after its group, and the pair sum's ``(a, b) + rest``, ``(a,) +
+        left`` and ``(b,) + right`` are sorted because the pivot is the
+        smallest exponent, so ``a <= b <= exps[0] - 2 < min(rest)``, and
+        ``left``/``right`` come in group order.  An unsorted key would be a
+        second memo entry for one correlator, or reach the recursion with
+        its pivot not the smallest exponent.  A key reaches ``_value`` only
+        on a memo miss, so every stored key is checked too."""
         psi.cache_clear()
         original = psi._value
         calls = 0
@@ -407,7 +444,7 @@ class TestRecursionWork:
         monkeypatch.setattr(psi, "_value", checked)
         assert psi.pand_bound(12) == Fraction(15, 4)
         for g in range(6):
-            for n in range(1, 5):
+            for n in range(1, 6):
                 if 2 * g - 2 + n <= 0:
                     continue
                 dim = 3 * g - 3 + n
@@ -416,6 +453,86 @@ class TestRecursionWork:
                     if sum(exps) == dim:
                         val(g, *exps)
         assert calls > 1000
+        assert all(type(exps) is tuple and list(exps) == sorted(exps)
+                   for _, exps in psi._memo)
+        psi.cache_clear()
+
+    def test_a_miss_reaches_the_module_global_value(self, monkeypatch):
+        """The benchmark self-test corrupts ``psi._value`` by patching the
+        module global, so every memo miss, at the top and at each child,
+        must call it through that name."""
+        psi.cache_clear()
+        original = psi._value
+        seen = set()
+
+        def recorded(g, exps):
+            seen.add((g, exps))
+            return original(g, exps)
+
+        monkeypatch.setattr(psi, "_value", recorded)
+        assert val(3, *[2] * 6) == Fraction(1225, 144)
+        assert set(psi._memo) <= seen and len(psi._memo) > 20
+        # a corrupted value reaches the answer through the children
+        monkeypatch.setattr(psi, "_value", lambda g, exps: 0 if g == 1
+                            and len(exps) >= 3 else original(g, exps))
+        psi.cache_clear()
+        assert val(3, *[2] * 6) != Fraction(1225, 144)
+        psi.cache_clear()
+
+    def test_hits_count_every_lookup_that_finds_a_value(self, monkeypatch):
+        """``cache_info().hits`` counts each memo lookup that finds a stored
+        value, the ones made where child keys are built included, and keeps
+        counting them when a call is refused part way."""
+
+        class Counting(dict):
+            found = 0
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                Counting.found += value is not None
+                return value
+
+        monkeypatch.setattr(psi, "_memo", Counting())
+        psi.cache_clear()
+        assert psi.pand_bound(8) == Fraction(5)
+        assert val(6, 4, 4, 4, 3, 3, 3) > 0
+        assert psi.cache_info().hits == Counting.found > 100
+        found = Counting.found
+        monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 40)
+        with pytest.raises(psi.ResourceLimitError, match="memo entries"):
+            val(12, 34)
+        assert psi.cache_info().hits == Counting.found > found
+        monkeypatch.undo()
+        psi.cache_clear()
+
+    def test_memo_after_a_sweep_is_pinned(self):
+        """The memo left by pand_bound(2..10) and the benchmark's many-point
+        correlators up to genus 8, each with and without a ``tau_1``, is
+        pinned by size and checksum: how a child key is built or looked up
+        must not change a stored entry, nor add or drop one."""
+        psi.cache_clear()
+        for g in range(2, 11):
+            assert psi.pand_bound(g) == Fraction(60, g + 4)
+        for g in (6, 8):
+            for n in range(3, 9 if g == 6 else 8):
+                exps = balanced(3 * g - 3 + n, n)
+                assert val(g, *exps) > 0 and val(g, 1, *exps) > 0
+        assert psi.cache_info().misses == len(psi._memo) == 879
+        digest = hashlib.sha256(repr(sorted(psi._memo.items())).encode())
+        assert digest.hexdigest()[:16] == "2f093d1e5419266f"
+        psi.cache_clear()
+
+    def test_deepest_chain_takes_one_frame_per_level(self):
+        """``<tau_0^202 tau_200>_0 = 1`` is the deepest chain the dimension
+        guard lets in: 200 string steps, one ``_value`` frame each.  It fits
+        under a recursion limit of 400, so a level adds no helper frame."""
+        psi.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            assert val(0, *[0] * 202, 200) == 1
+        finally:
+            sys.setrecursionlimit(limit)
         psi.cache_clear()
 
     def test_memo_holds_integers(self):

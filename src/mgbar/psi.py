@@ -30,10 +30,21 @@ every value is an integer.  The string and dilaton equations become
     V(g; 0, S) = 2 sum_j (2a_j+1) V(g; S with a_j -> a_j-1),
     V(g; 1, S) = 6 (2g-2+|S|) V(g; S).
 
+The recursion runs on the cone: stable, nonnegative, on-dimension keys,
+where ``3g = sum(exps) + 3 - n``, so the memo is keyed by the sorted
+exponent tuple alone.  :func:`correlator_value` answers every other
+correlator (they vanish) before any lookup; every child is on the cone:
+
+* string, dilaton and bump children drop ``n`` and the dimension by one
+  and stay stable (at ``g = 0`` only string steps at ``n >= 4`` apply);
+* DVV frames have ``g >= 2`` (at ``g <= 1`` every on-dimension key has a
+  0 or a 1), so the genus-lowering child is stable;
+* a split's ``g1`` is fixed by dimension, ``3 g1 = a + sum(I) + 2 - |I|``;
+  ``g1 = 0`` would force ``|I| >= 2 + a``, and as every exponent of
+  ``rest`` is at least the pivot ``>= 2``, in fact ``1 <= g1 <= g - 1``.
+
 The pair sum is evaluated over its nonzero terms only:
 
-* ``g1`` is fixed by dimension, ``3 g1 = a + sum(I) + 2 - |I|``; a split
-  with no integral ``g1`` in ``0..g`` contributes nothing;
 * splits are taken as sub-multisets ``I`` of ``rest``, each weighted by
   ``prod_v C(count_v(rest), count_v(I))``, the number of index splits
   giving it;
@@ -46,12 +57,10 @@ The pair sum is evaluated over its nonzero terms only:
 String and bump terms come one per group of equal exponents of ``rest``,
 times the group's size.  Every child key is built sorted, and is looked up
 in the memo where it is built; the recursion is entered only on a miss.
-
-Correlators that are off-dimension, unstable, or carry a negative
-exponent vanish.  The string and dilaton equations are applied first
-when a 0 or 1 exponent is available (they are consequences of the same
-operator family and keep the recursion shallow).  Everything rests on the two
-seeds ``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24``.
+The string and dilaton equations are applied first when a 0 or 1
+exponent is available (they keep the recursion shallow).  The two seeds
+``<tau_0^3>_0 = 1`` and ``<tau_1>_1 = 1/24`` are memo entries like any
+other, stored on their first miss.
 
 The integers ``V`` are kept in a process-wide memo (:func:`cache_info`,
 :func:`cache_clear`).  One top-level evaluation may add at most
@@ -177,7 +186,9 @@ def psi_one_point(g: int) -> Fraction:
     return Fraction(1, 24**g * math.factorial(g))
 
 
-_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+# Sorted exponents -> V (on the cone they fix g); seeds are stored too.
+_memo: dict[tuple[int, ...], int] = {}
+_SEEDS = {(0, 0, 0): 2, (1,): 1}
 _hits = 0
 _misses = 0
 _miss_limit = MAX_NEW_ENTRIES
@@ -190,7 +201,7 @@ class CacheInfo(NamedTuple):
 
 
 def cache_info() -> CacheInfo:
-    """Memo hits, memo misses (evaluations started) and entries held."""
+    """Memo hits, misses (evaluations started, seeds too), entries held."""
     return CacheInfo(_hits, _misses, len(_memo))
 
 
@@ -202,31 +213,20 @@ def cache_clear() -> None:
 
 
 def _value(g: int, exps: tuple[int, ...]) -> int:
-    """The integer ``V(g; exps)``; exps must be sorted.  Returns 0 off the cone."""
+    """Store and return ``V(g; exps)`` on a memo miss; exps sorted, on cone."""
     global _hits, _misses
-    # Called on a memo miss; on-cone keys other than the seeds are stored.
-    n = len(exps)
-    if g < 0 or (exps and exps[0] < 0):
-        return 0
-    if 2 * g - 2 + n <= 0:
-        return 0
-    if sum(exps) != 3 * g - 3 + n:
-        return 0
-    if g == 0 and exps == (0, 0, 0):
-        return 2
-    if g == 1 and exps == (1,):
-        return 1
-
     _misses += 1
     if _misses > _miss_limit:
         raise ResourceLimitError(
             f"evaluation needs more than {MAX_NEW_ENTRIES} new memo entries"
         )
-
+    if (total := _SEEDS.get(exps)) is not None:
+        _memo[exps] = total
+        return total
     hits = 0  # added to _hits in the finally, also on a refusal
     rest = exps[1:]
     try:
-        if exps[0] == 0 and n >= 2:
+        if exps[0] == 0:
             # String equation.  A group's first index takes the decrement,
             # so the key stays sorted.
             total = 0
@@ -234,19 +234,19 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
                 if v:
                     j = rest.index(v)
                     child = rest[:j] + (v - 1,) + rest[j + 1 :]
-                    if (value := _memo.get((g, child))) is None:
+                    if (value := _memo.get(child)) is None:
                         value = _value(g, child)
                     else:
                         hits += 1
                     total += rest.count(v) * (2 * v + 1) * value
             total *= 2
-        elif exps[0] == 1 and n >= 2:
+        elif exps[0] == 1:
             # Dilaton equation (the remaining correlator is stable here).
-            if (total := _memo.get((g, rest))) is None:
+            if (total := _memo.get(rest)) is None:
                 total = _value(g, rest)
             else:
                 hits += 1
-            total *= 6 * (2 * g - 2 + n - 1)
+            total *= 6 * (2 * g - 3 + len(exps))
         else:
             # Full recursion on the smallest exponent (>= 2 here): the
             # genus-lowering term's new exponents stay small, so string and
@@ -259,7 +259,7 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
                 j = rest.index(v)
                 i = bisect_right(rest, v + k, j + count)
                 child = rest[:j] + rest[j + 1 : i] + (v + k,) + rest[i:]
-                if (value := _memo.get((g, child))) is None:
+                if (value := _memo.get(child)) is None:
                     value = _value(g, child)
                 else:
                     hits += 1
@@ -285,40 +285,39 @@ def _value(g: int, exps: tuple[int, ...]) -> int:
             for a in range((k + 1) // 2):
                 b = k - 1 - a
                 child = (a, b) + rest
-                if (term := _memo.get((g - 1, child))) is None:
+                if (term := _memo.get(child)) is None:
                     term = _value(g - 1, child)
                 else:
                     hits += 1
                 term *= 4
                 for left, right, ways, shift in buckets[-a % 3]:
-                    # <tau_a tau_I>_{g1} is on-dimension only for this g1.
-                    g1 = (a + shift) // 3
-                    if not 0 <= g1 <= g:
-                        continue
+                    # <tau_a tau_I>_{g1} is on-dimension only at
+                    # g1 = (a + shift) / 3, and 1 <= g1 <= g - 1 (module doc).
                     child = (a,) + left
-                    if (lhs := _memo.get((g1, child))) is None:
-                        lhs = _value(g1, child)
+                    if (lhs := _memo.get(child)) is None:
+                        lhs = _value((a + shift) // 3, child)
                     else:
                         hits += 1
-                    if lhs:
-                        child = (b,) + right
-                        if (rhs := _memo.get((g - g1, child))) is None:
-                            rhs = _value(g - g1, child)
-                        else:
-                            hits += 1
-                        term += ways * lhs * rhs
+                    child = (b,) + right
+                    if (rhs := _memo.get(child)) is None:
+                        rhs = _value(g - (a + shift) // 3, child)
+                    else:
+                        hits += 1
+                    term += ways * lhs * rhs
                 # (a, b, g1, I) -> (b, a, g - g1, J) pairs equal terms.
                 total += term if a == b else 2 * term
     finally:
         _hits += hits
 
-    _memo[g, exps] = total
+    _memo[exps] = total
     return total
 
 
 def correlator_value(c: Correlator) -> Fraction:
     """Exact value of a stable correlator; 0 when off-dimension.
 
+    An off-dimension correlator is answered before any memo lookup, so the
+    recursion, and the memo keyed by exponent tuples, see the cone only.
     One call may add at most ``MAX_NEW_ENTRIES`` entries to the memo;
     past that it raises :class:`ResourceLimitError`, keeping the entries
     already finished.  A call that finds ``MAX_NEW_ENTRIES`` entries or
@@ -326,16 +325,16 @@ def correlator_value(c: Correlator) -> Fraction:
     """
     global _hits, _miss_limit
     _check_dimension(c.dimension)
+    if not c.on_dimension():
+        # Before the scale, which a huge exponent would make huge.
+        return Fraction(0)
     if len(_memo) >= MAX_NEW_ENTRIES:
         _memo.clear()
     _miss_limit = _misses + MAX_NEW_ENTRIES
-    if (value := _memo.get((c.genus, c.exponents))) is None:
+    if (value := _memo.get(c.exponents)) is None:
         value = _value(c.genus, c.exponents)
     else:
         _hits += 1
-    if not value:
-        # Off dimension, where an exponent can be too large for the scale.
-        return Fraction(0)
     scale = 2 ** (4 * c.genus + len(c.exponents) - 2)
     for a in c.exponents:
         scale *= math.prod(range(2 * a + 1, 0, -2))

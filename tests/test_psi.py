@@ -21,6 +21,25 @@ def val(g, *exps):
     return correlator_value(Correlator(g, exps))
 
 
+# The two seeds, memo entries like any other once met.
+SEEDS = {(0, 0, 0): 2, (1,): 1}
+
+
+def genus_of(exps):
+    """The genus an on-dimension key fixes: ``sum(exps) = 3g - 3 + n``."""
+    g, r = divmod(sum(exps) + 3 - len(exps), 3)
+    assert r == 0, exps
+    return g
+
+
+def memo_digest():
+    """Checksum of the non-seed memo entries as ``((g, exps), V)``, the
+    shape the memo had when its keys carried the genus."""
+    items = sorted(((genus_of(exps), exps), value)
+                   for exps, value in psi._memo.items() if exps not in SEEDS)
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
 def val_or_zero(g, exps):
     """A correlator's value, with negative genus and unstable data read as 0."""
     if g < 0 or 2 * g - 2 + len(exps) <= 0:
@@ -112,16 +131,29 @@ def pivotable_correlators(draw):
     return g, exps
 
 
-def on_dimension_pivotable(max_genus, max_points):
-    """Every on-dimension stable datum with g <= max_genus, n <= max_points
-    and largest exponent at least 2."""
+def on_dimension(max_genus, max_points):
+    """Every on-dimension stable datum with g <= max_genus and
+    n <= max_points."""
     for g in range(max_genus + 1):
         for n in range(max(1, 3 - 2 * g), max_points + 1):
             dim = 3 * g - 3 + n
             for exps in itertools.combinations_with_replacement(
                     range(dim + 1), n):
-                if sum(exps) == dim and exps[-1] >= 2:
+                if sum(exps) == dim:
                     yield g, list(exps)
+
+
+def on_dimension_pivotable(max_genus, max_points):
+    """The data of :func:`on_dimension` with largest exponent at least 2."""
+    return [case for case in on_dimension(max_genus, max_points)
+            if case[1][-1] >= 2]
+
+
+def small_sweep():
+    """pand_bound(12), then every on-dimension datum with g < 6, n < 6."""
+    assert psi.pand_bound(12) == Fraction(15, 4)
+    for g, exps in on_dimension(5, 5):
+        val(g, *exps)
 
 
 class TestCorrelator:
@@ -346,17 +378,17 @@ class TestGuards:
         # the memo left by the refused call goes on giving right answers
         assert val(8, 22) == psi.psi_one_point(8)
         assert psi.pand_bound(8) == Fraction(5)
-        # and every entry it kept is the entry a cold evaluation leaves
-        for key, value in kept.items():
+        # and every entry it kept is the entry a cold evaluation leaves;
+        # the key alone gives the genus
+        for exps, value in kept.items():
             psi.cache_clear()
-            g, exps = key
-            val(g, *exps)
-            fresh = psi._memo[key]
-            assert type(fresh) is type(value) and fresh == value, key
+            val(genus_of(exps), *exps)
+            fresh = psi._memo[exps]
+            assert type(fresh) is type(value) and fresh == value, exps
 
     def test_work_budget_is_per_top_level_call(self, monkeypatch):
         psi.cache_clear()
-        # the warm memo stays below the cap (86 entries before pand_bound(8)),
+        # the warm memo stays below the cap (87 entries before pand_bound(8)),
         # so it is never dropped and each step adds at most 47 entries
         monkeypatch.setattr(psi, "MAX_NEW_ENTRIES", 90)
         for g in range(2, 9):  # each step adds few entries to a warm memo
@@ -406,20 +438,24 @@ class TestRecursionWork:
 
         monkeypatch.setattr(psi, "_value", counted)
         assert psi.pand_bound(22) == Fraction(30, 13)
-        assert len(psi._memo) == 5549
+        # 5 549 entries and the one seed met, <tau_1>_1: no genus-0 key is
+        # reached, as DVV frames have g >= 2 and splits 1 <= g1 <= g - 1
+        assert len(psi._memo) == 5550
+        assert {exps: psi._memo[exps] for exps in SEEDS
+                if exps in psi._memo} == {(1,): 1}
         # Every key is looked up in the memo where it is built, and only a
         # miss enters _value.  A loop over every genus of the split sum
         # makes 652 283 lookups; the split sum over nonzero terms makes
-        # exactly this many, each a hit or a call.
+        # exactly this many, each a hit or a call.  The seed is entered
+        # once and found 1 820 times after.
         assert calls + psi.cache_info().hits == 31_541
-        assert calls == 7_370
+        assert calls == 5_550
         # and the memo it leaves is pinned: counters and a checksum of every
         # entry, so that a change of the split enumeration shows here
-        assert psi.cache_info() == (24171, 5549, 5549)
-        digest = hashlib.sha256(repr(sorted(psi._memo.items())).encode())
-        assert digest.hexdigest()[:16] == "117cb583a99c2e48"
+        assert psi.cache_info() == (25991, 5550, 5550)
+        assert memo_digest() == "117cb583a99c2e48"
         # the budget leaves room for four times the largest known need
-        assert psi.MAX_NEW_ENTRIES >= 4 * 5549
+        assert psi.MAX_NEW_ENTRIES >= 4 * 5550
 
     def test_every_key_is_sorted_as_built(self, monkeypatch):
         """``_value`` builds its child keys without sorting them: a string
@@ -442,19 +478,68 @@ class TestRecursionWork:
             return original(g, exps)
 
         monkeypatch.setattr(psi, "_value", checked)
-        assert psi.pand_bound(12) == Fraction(15, 4)
-        for g in range(6):
-            for n in range(1, 6):
-                if 2 * g - 2 + n <= 0:
-                    continue
-                dim = 3 * g - 3 + n
-                for exps in itertools.combinations_with_replacement(
-                        range(dim + 1), n):
-                    if sum(exps) == dim:
-                        val(g, *exps)
-        assert calls > 1000
+        small_sweep()
+        # exactly the misses: the seeds are entered once, then found
+        assert calls == psi.cache_info().misses == 946
         assert all(type(exps) is tuple and list(exps) == sorted(exps)
-                   for _, exps in psi._memo)
+                   for exps in psi._memo)
+        # each stored key is on dimension for one genus g >= 0
+        assert all(genus_of(exps) >= 0 for exps in psi._memo)
+        psi.cache_clear()
+
+    def test_every_key_reaching_value_is_on_the_cone(self, monkeypatch):
+        """``_value`` checks no genus, stability or dimension: it trusts
+        ``correlator_value`` to stop off-cone data, and the children it
+        builds to stay on the cone (the argument is in the module doc)."""
+        psi.cache_clear()
+        original = psi._value
+        seen = 0
+
+        def checked(g, exps):
+            nonlocal seen
+            seen += 1
+            assert g >= 0 and all(a >= 0 for a in exps), (g, exps)
+            assert 2 * g - 2 + len(exps) > 0, (g, exps)
+            assert sum(exps) == 3 * g - 3 + len(exps), (g, exps)
+            assert list(exps) == sorted(exps), exps
+            return original(g, exps)
+
+        monkeypatch.setattr(psi, "_value", checked)
+        small_sweep()
+        assert seen == psi.cache_info().misses == 946
+        assert {exps: psi._memo[exps] for exps in SEEDS} == SEEDS
+        # A pair sum's right factor is nearly always found in the memo.  From
+        # a cold memo, these two of the six correlators with g, n <= 5 that
+        # miss there enter the recursion through it too.
+        for g, exps in ((5, [2, 3, 3, 8]), (5, [2, 2, 2, 3, 8])):
+            psi.cache_clear()
+            assert val(g, *exps) == dvv_on_largest(g, exps)
+        # an off-dimension correlator is answered before any lookup: no
+        # entry, no miss, no hit, and no call into the recursion
+        before, calls = psi.cache_info(), seen
+        for g, exps in ((2, (2, 2)), (1, (3,)), (0, (0, 0, 1)), (3, (0, 9)),
+                        (0, (10**9, 0, 0)), (4, (1, 1, 1, 1))):
+            assert val(g, *exps) == 0
+        assert psi.cache_info() == before and seen == calls
+        psi.cache_clear()
+
+    def test_memo_cleared_without_its_counters_stays_sound(self):
+        """``perfbench/selftest.py`` empties ``psi._memo`` in place, keeping
+        the counters.  A sweep cleared that way half way gives the values of
+        a cold sweep, and the seeds come back as entries when met again."""
+        # by number of points, so that both seeds are met again late
+        cases = sorted(on_dimension(3, 5), key=lambda case: len(case[1]))
+        psi.cache_clear()
+        expected = [val(g, *exps) for g, exps in cases]
+        psi.cache_clear()
+        half = len(cases) // 2
+        got = [val(g, *exps) for g, exps in cases[:half]]
+        assert {exps: psi._memo[exps] for exps in SEEDS} == SEEDS
+        psi._memo.clear()
+        got += [val(g, *exps) for g, exps in cases[half:]]
+        assert got == expected
+        assert {exps: psi._memo[exps] for exps in SEEDS} == SEEDS
+        assert psi.cache_info().misses > len(psi._memo)
         psi.cache_clear()
 
     def test_a_miss_reaches_the_module_global_value(self, monkeypatch):
@@ -471,7 +556,9 @@ class TestRecursionWork:
 
         monkeypatch.setattr(psi, "_value", recorded)
         assert val(3, *[2] * 6) == Fraction(1225, 144)
-        assert set(psi._memo) <= seen and len(psi._memo) > 20
+        # every entry, with the genus its key fixes, came through the hook
+        assert {(genus_of(exps), exps) for exps in psi._memo} <= seen
+        assert len(psi._memo) > 20
         # a corrupted value reaches the answer through the children
         monkeypatch.setattr(psi, "_value", lambda g, exps: 0 if g == 1
                             and len(exps) >= 3 else original(g, exps))
@@ -509,7 +596,8 @@ class TestRecursionWork:
         """The memo left by pand_bound(2..10) and the benchmark's many-point
         correlators up to genus 8, each with and without a ``tau_1``, is
         pinned by size and checksum: how a child key is built or looked up
-        must not change a stored entry, nor add or drop one."""
+        must not change a stored entry, nor add or drop one.  The seed
+        ``<tau_1>_1`` is the one entry beyond the 879 the checksum covers."""
         psi.cache_clear()
         for g in range(2, 11):
             assert psi.pand_bound(g) == Fraction(60, g + 4)
@@ -517,9 +605,9 @@ class TestRecursionWork:
             for n in range(3, 9 if g == 6 else 8):
                 exps = balanced(3 * g - 3 + n, n)
                 assert val(g, *exps) > 0 and val(g, 1, *exps) > 0
-        assert psi.cache_info().misses == len(psi._memo) == 879
-        digest = hashlib.sha256(repr(sorted(psi._memo.items())).encode())
-        assert digest.hexdigest()[:16] == "2f093d1e5419266f"
+        assert psi.cache_info().misses == len(psi._memo) == 880
+        assert psi._memo[(1,)] == 1 and (0, 0, 0) not in psi._memo
+        assert memo_digest() == "2f093d1e5419266f"
         psi.cache_clear()
 
     def test_deepest_chain_takes_one_frame_per_level(self):
@@ -537,16 +625,7 @@ class TestRecursionWork:
 
     def test_memo_holds_integers(self):
         psi.cache_clear()
-        assert psi.pand_bound(12) == Fraction(15, 4)
-        for g in range(6):
-            for n in range(1, 5):
-                if 2 * g - 2 + n <= 0:
-                    continue
-                dim = 3 * g - 3 + n
-                for exps in itertools.combinations_with_replacement(
-                        range(dim + 1), n):
-                    if sum(exps) == dim:
-                        val(g, *exps)
+        small_sweep()
         assert psi._memo
         assert all(type(v) is int for v in psi._memo.values())
 

@@ -85,8 +85,11 @@ MAX_GENUS = 10_000
 
 
 def _boundary_count(g: int) -> int:
-    """``g//2 + 1``, the number of boundary divisors, for ``g <= MAX_GENUS``."""
+    """``g//2 + 1``, the number of boundary divisors, and the one check
+    of the basis ``lambda, delta_0, ..., delta_{g//2}``: ``2 <= g <= MAX_GENUS``."""
     _integers(g)
+    if g < 2:
+        raise ValueError("genus must be at least 2")
     if g > MAX_GENUS:
         raise ValueError(f"genus {g} exceeds the guard ({MAX_GENUS})")
     return g // 2 + 1
@@ -112,8 +115,6 @@ class DivisorClass(_Record):
     ) -> None:
         flags = frozenset(lower_bound_deltas)
         _integers(genus, *flags)
-        if genus < 2:
-            raise ValueError("genus must be at least 2")
         expected = _boundary_count(genus)
         coeffs = tuple(_fraction(c) for c in delta_coeffs)
         if len(coeffs) != expected:
@@ -341,7 +342,14 @@ def slope_conjecture_bound(g: int) -> Fraction:
 # Test curves and pairing
 # ---------------------------------------------------------------------
 
-_TEST_CURVE_KINDS = ("C0", "C1", "R", "B")
+# Each sweeping curve's pairings in genus g: (lambda, {j: delta_j}), the
+# delta_j it does not meet left out.
+_TEST_CURVES = {
+    "C0": lambda g: (0, {0: 2 - 2 * g, 1: 1}),
+    "C1": lambda g: (0, {1: 4 - 2 * g}),
+    "R": lambda g: (1, {0: 12, 1: -1}),
+    "B": lambda g: (g + 1, {0: 6 * g + 18}),
+}
 
 
 def test_curve(kind: str, g: int) -> CurveNumbers:
@@ -351,30 +359,17 @@ def test_curve(kind: str, g: int) -> CurveNumbers:
     ``C1``: an elliptic-tail pencil inside the genus-1 boundary;
     ``R``: a pencil of plane cubics attached to a fixed tail;
     ``B``: a Lefschetz pencil of curves on a polarized K3 surface.
+    The numbers are the table ``_TEST_CURVES``; ``_boundary_count``
+    checks the genus of the basis they pair with.
     """
     _integers(g)
     if g < 3:
         raise ValueError("test curves need genus >= 3")
-    deltas = [Fraction(0)] * _boundary_count(g)
-    if kind == "C0":
-        lam = Fraction(0)
-        deltas[0] = Fraction(-2 * g + 2)
-        deltas[1] = Fraction(1)
-    elif kind == "C1":
-        lam = Fraction(0)
-        deltas[1] = Fraction(-2 * g + 4)
-    elif kind == "R":
-        lam = Fraction(1)
-        deltas[0] = Fraction(12)
-        deltas[1] = Fraction(-1)
-    elif kind == "B":
-        lam = Fraction(g + 1)
-        deltas[0] = Fraction(6 * g + 18)
-    else:
-        raise ValueError(
-            f"unknown test curve {kind!r}; expected one of {_TEST_CURVE_KINDS}"
-        )
-    return CurveNumbers(g, lam, tuple(deltas))
+    size, kinds = _boundary_count(g), tuple(_TEST_CURVES)
+    if kind not in kinds:
+        raise ValueError(f"unknown test curve {kind!r}; expected one of {kinds}")
+    lam, meets = _TEST_CURVES[kind](g)
+    return CurveNumbers(g, lam, (meets.get(j, 0) for j in range(size)))
 
 
 def pair(c: CurveNumbers, D: DivisorClass) -> Fraction:

@@ -362,19 +362,13 @@ def pand_numerator(g: int) -> Fraction:
 def pand_denominator(g: int) -> Fraction:
     """Hodge-class intersection via the Grothendieck-Riemann-Roch split.
 
-    Assembled from the two-point correlator ``<tau_{3g-3} tau_2>_g``,
-    the one-point integral at genus ``g``, and the collapsed three-point
-    term one genus down.
+    ``12 lambda = kappa_1 - psi + delta`` on the pencil: the two-point
+    correlator ``<tau_{3g-3} tau_2>_g``, less the one-point integral at
+    genus ``g``, plus the boundary term :func:`pand_numerator`.
     """
-    _integers(g)
-    if g < 2:
-        raise ValueError("the bound needs genus >= 2")
+    boundary = pand_numerator(g)
     two_point = correlator_value(Correlator(g, (3 * g - 3, 2)))
-    return (
-        two_point / 12
-        - psi_one_point(g) / 12
-        + psi_one_point(g - 1) / 24
-    )
+    return (two_point - psi_one_point(g) + boundary) / 12
 
 
 def pand_bound(g: int) -> Fraction:

@@ -64,7 +64,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import _Record, _fraction, _integers, _rational
 
@@ -307,12 +307,14 @@ MAX_EXPONENT = 1000
 def element_from_string(text: str) -> RingElement:
     """Parse a ring element from a ``+``/``-``/``*``/``^`` expression.
 
-    Accepted factors are the generator names (``eta``, ``gamma``,
-    ``theta``, ``c1``, ``c2``, ``c3``) and rational literals like ``3``
-    or ``7/2`` with a nonzero denominator, optionally raised to a
-    nonnegative integer power of at most :data:`MAX_EXPONENT`; the
-    literal powers may have at most ``10 * MAX_EXPONENT`` digits in all.
-    Parentheses are not supported.
+    The grammar: an expression is a run of terms, each opened by ``+``
+    and ``-`` signs (optional for the first) and holding one or more
+    factors, each after any number of ``*``, and a factor is a generator
+    name (``eta``, ``gamma``, ``theta``, ``c1``, ``c2``, ``c3``) or a
+    rational literal like ``3`` or ``7/2``, with at most one ``^n``.
+    Denominators are nonzero, ``n`` is a nonnegative integer of at most
+    :data:`MAX_EXPONENT`, and the literal powers may have at most
+    ``10 * MAX_EXPONENT`` digits in all.  Parentheses are not supported.
     """
     tokens: list[str] = []
     pos = 0
@@ -327,54 +329,42 @@ def element_from_string(text: str) -> RingElement:
     if not tokens:
         raise ValueError("empty expression")
 
-    result = ZERO
+    result, term = ZERO, ONE
+    state = "start"  # of a term; "due" after '*'; "read" after a factor
     digits = 0  # of all literal powers read so far
     idx = 0
     while idx < len(tokens):
-        sign = 1
-        while idx < len(tokens) and tokens[idx] in "+-":
-            if tokens[idx] == "-":
-                sign = -sign
-            idx += 1
-        term = _scalar_element(sign)
-        expect_factor = True
-        while idx < len(tokens):
-            tok = tokens[idx]
-            if tok in "+-" and not expect_factor:
-                break
-            if tok == "*":
-                idx += 1
-                expect_factor = True
-                continue
-            if tok == "^":
-                raise ValueError("dangling '^'")
-            power = 1
-            if idx + 2 < len(tokens) and tokens[idx + 1] == "^":
-                power = int(tokens[idx + 2])
-                if power > MAX_EXPONENT:
-                    raise ValueError(
-                        f"exponent {power} exceeds the limit {MAX_EXPONENT}"
-                    )
-                extra = 2
-            elif idx + 1 < len(tokens) and tokens[idx + 1] == "^":
-                raise ValueError("dangling '^'")
-            else:
-                extra = 0
-            if tok in _GENERATORS:
-                factor = _GENERATORS[tok] ** power
-            elif re.fullmatch(r"\d+(/\d+)?", tok):
-                if (digits := digits + len(tok) * power) > 10 * MAX_EXPONENT:
-                    raise ValueError(f"literal powers exceed {10 * MAX_EXPONENT} digits")
-                factor = _scalar_element(_rational(tok) ** power)
-            else:
-                raise ValueError(f"unknown symbol {tok!r}")
-            term = term * factor
-            idx += 1 + extra
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("trailing operator")
-        result = result + term
-    return result
+        tok = tokens[idx]
+        idx += 1
+        if tok in "+-" and state != "due":
+            if state == "read":  # a sign after a factor closes the term
+                result, term, state = result + term, ONE, "start"
+            if tok == "-":
+                term = -term
+            continue
+        if tok == "*":
+            state = "due"
+            continue
+        if tok == "^" or tokens[idx:idx + 2] == ["^"]:  # no base or no exponent
+            raise ValueError("dangling '^'")
+        power = 1
+        if tokens[idx:idx + 1] == ["^"]:
+            power = int(tokens[idx + 1])
+            if power > MAX_EXPONENT:
+                raise ValueError(f"exponent {power} exceeds the limit {MAX_EXPONENT}")
+            idx += 2
+        if tok in _GENERATORS:
+            term = term * _GENERATORS[tok] ** power
+        elif re.fullmatch(r"\d+(/\d+)?", tok):
+            if (digits := digits + len(tok) * power) > 10 * MAX_EXPONENT:
+                raise ValueError(f"literal powers exceed {10 * MAX_EXPONENT} digits")
+            term = term * _scalar_element(_rational(tok) ** power)
+        else:
+            raise ValueError(f"unknown symbol {tok!r}")
+        state = "read"
+    if state != "read":
+        raise ValueError("trailing operator")
+    return result + term
 
 
 # ---------------------------------------------------------------------

@@ -29,6 +29,7 @@ class TestDivisorClass:
     def test_addition_and_scaling(self):
         k = dc.canonical_coarse(6)
         assert (k + k) == 2 * k
+        assert -k == (-1) * k and (-k).lambda_coeff == -13
         assert k - k == dc.DivisorClass.zero(6)
         assert (3 * k).lambda_coeff == 39
 
@@ -137,6 +138,8 @@ class TestSlope:
         s = dc.slope(make(6, 1, 1, -1, 1, 1))
         assert s > Fraction(10**12)
         assert not (s < Fraction(10**12))
+        assert s >= Fraction(10**12) and not s <= Fraction(10**12)
+        assert s <= dc.INFINITE and s >= dc.INFINITE
 
     def test_lower_bound_above_minimum_is_harmless(self):
         d = make(6, 13, 2, 3, 5, 5, flags={2})
@@ -178,9 +181,50 @@ class TestTestCurves:
         b = dc.test_curve("B", g)
         assert (b.lambda_pairing, b.delta_pairings[0]) == (23, 150)
 
+    # (lambda, delta_0, delta_1) pairings at g = 3..12; no curve meets a
+    # delta_j with j >= 2
+    PINNED = {
+        "C0": [(0, -4, 1), (0, -6, 1), (0, -8, 1), (0, -10, 1), (0, -12, 1),
+               (0, -14, 1), (0, -16, 1), (0, -18, 1), (0, -20, 1), (0, -22, 1)],
+        "C1": [(0, 0, -2), (0, 0, -4), (0, 0, -6), (0, 0, -8), (0, 0, -10),
+               (0, 0, -12), (0, 0, -14), (0, 0, -16), (0, 0, -18), (0, 0, -20)],
+        "R": [(1, 12, -1)] * 10,
+        "B": [(4, 36, 0), (5, 42, 0), (6, 48, 0), (7, 54, 0), (8, 60, 0),
+              (9, 66, 0), (10, 72, 0), (11, 78, 0), (12, 84, 0), (13, 90, 0)],
+    }
+
+    @pytest.mark.parametrize("kind", PINNED)
+    def test_pinned_numbers(self, kind):
+        for g, (lam, d0, d1) in zip(range(3, 13), self.PINNED[kind]):
+            c = dc.test_curve(kind, g)
+            assert c == dc.CurveNumbers(
+                g, lam, (d0, d1) + (0,) * (g // 2 - 1)), (kind, g)
+            assert all(type(x) is Fraction for x in (
+                c.lambda_pairing, *c.delta_pairings))
+
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            dc.test_curve("Q", 5)
+        for kind in ("Q", "c0", ["C0"], None):
+            message = (f"unknown test curve {kind!r}; "
+                       "expected one of ('C0', 'C1', 'R', 'B')")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                dc.test_curve(kind, 5)
+
+    def test_checks_come_before_the_kind(self):
+        # integer, then genus >= 3, then the genus guard, then the kind
+        with pytest.raises(TypeError, match="expected an integer"):
+            dc.test_curve("Q", 3.0)
+        with pytest.raises(ValueError, match=re.escape("need genus >= 3")):
+            dc.test_curve("Q", 2)
+        with pytest.raises(ValueError, match="exceeds the guard"):
+            dc.test_curve("Q", dc.MAX_GENUS + 1)
+
+    @pytest.mark.parametrize("genus", [1, 0, -5])
+    def test_curve_numbers_need_genus_two(self, genus):
+        # the lambda, delta_0, ..., delta_{g//2} basis rule DivisorClass keeps
+        for build in (dc.CurveNumbers, dc.DivisorClass):
+            with pytest.raises(ValueError) as info:
+                build(genus, 1, [1])
+            assert str(info.value) == "genus must be at least 2"
 
     def test_reference_pairings(self):
         g = 22
@@ -261,6 +305,12 @@ class TestWitnesses:
     def test_general_type_witness(self):
         assert dc.general_type_witness(dc.d22_class())
         assert not dc.general_type_witness(dc.canonical_coarse(22))
+        # a = 0
+        assert not dc.general_type_witness(dc.DivisorClass.zero(5))
+        # a/b_0 is exactly 13/2, not below it
+        assert not dc.general_type_witness(dc.canonical_coarse(5))
+        # a/b_0 = 6 passes, a/b_1 = 6 > 13/3 does not
+        assert not dc.general_type_witness(dc.DivisorClass(5, 12, (-2, -2, -2)))
 
     def test_k3_obstruction_for_the_degeneracy_class(self):
         # slope 17121/2636 sits below 150/23, and the pencil pairing

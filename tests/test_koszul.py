@@ -1633,6 +1633,8 @@ class TestSerialization:
         (["1", "x", "2", "1/0", "x"], "Invalid literal for Fraction: 'x'"),
         (["1/0", "1", True], "zero denominator in '1/0'"),
         (["1", True, "1/0"], "cannot interpret True"),
+        # an unhashable entry: the row is read entry by entry
+        (["1", ["x"]], "cannot interpret ['x'] as an exact rational"),
     ])
     def test_the_first_bad_entry_in_the_row_is_named(self, row, named):
         # A row of strings is read by value, in no fixed order of its

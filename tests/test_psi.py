@@ -494,6 +494,7 @@ class TestRecursionWork:
         psi.cache_clear()
         original = psi._value
         seen = 0
+        stack, entered = [()], set()  # (caller's key, key) of every miss
 
         def checked(g, exps):
             nonlocal seen
@@ -502,7 +503,12 @@ class TestRecursionWork:
             assert 2 * g - 2 + len(exps) > 0, (g, exps)
             assert sum(exps) == 3 * g - 3 + len(exps), (g, exps)
             assert list(exps) == sorted(exps), exps
-            return original(g, exps)
+            entered.add((stack[-1], exps))
+            stack.append(exps)
+            try:
+                return original(g, exps)
+            finally:
+                stack.pop()
 
         monkeypatch.setattr(psi, "_value", checked)
         small_sweep()
@@ -510,10 +516,17 @@ class TestRecursionWork:
         assert {exps: psi._memo[exps] for exps in SEEDS} == SEEDS
         # A pair sum's right factor is nearly always found in the memo.  From
         # a cold memo, these two of the six correlators with g, n <= 5 that
-        # miss there enter the recursion through it too.
-        for g, exps in ((5, [2, 3, 3, 8]), (5, [2, 2, 2, 3, 8])):
+        # miss there enter the recursion through it too.  A left factor
+        # misses more rarely: of the data of on_dimension(6, 8), in order,
+        # <tau_3^3 tau_7>_5 is the first whose cold evaluation does so, on
+        # (0, 3, 3), the left factor of a = 0, I = (3, 3) below its pivot 3.
+        for g, exps in ((5, [2, 3, 3, 8]), (5, [2, 2, 2, 3, 8]),
+                        (5, [3, 3, 3, 7])):
             psi.cache_clear()
             assert val(g, *exps) == dvv_on_largest(g, exps)
+        # (0, 3, 3) is no string, bump or genus-lowering child of (3, 3, 3, 7),
+        # and a right factor there starts with b = 1
+        assert ((3, 3, 3, 7), (0, 3, 3)) in entered
         # an off-dimension correlator is answered before any lookup: no
         # entry, no miss, no hit, and no call into the recursion
         before, calls = psi.cache_info(), seen
@@ -647,6 +660,15 @@ class TestPipeline:
     def test_genus_two_internals(self):
         assert psi.pand_numerator(2) == Fraction(1, 48)
         assert psi.pand_denominator(2) == Fraction(1, 480)
+
+    def test_the_denominator_takes_the_numerators_checks(self):
+        # pand_denominator calls pand_numerator first, so it refuses what
+        # pand_bound refuses, with the same message: at g = 69 the boundary
+        # term's one-point integral, of dimension 202, is over the guard
+        for pand in (psi.pand_bound, psi.pand_denominator):
+            with pytest.raises(psi.ResourceLimitError,
+                               match=r"moduli dimension 202 exceeds"):
+                pand(69)
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_bound_matches_closed_form(self, g):

@@ -373,6 +373,53 @@ def test_fields_are_normalised():
     (lambda: T.THETA ** -1, ValueError, "exponent must be a nonnegative integer"),
     (lambda: T.ChernData(6.0, T.C1, T.C2), TypeError,
      "expected an integer, got float"),
+    (lambda: T.RingElement({(0, 0, 0, 0, 0, -1): 1}), ValueError,
+     "bad monomial key (0, 0, 0, 0, 0, -1)"),
+    (lambda: T.KernelPoly.symbol() - "x", TypeError,
+     "unsupported operand type(s) for -: 'KernelPoly' and 'str'"),
+    (lambda: T.KernelPoly.symbol() * "x", TypeError, None),
+    # Range checks past the integer check, layer by layer.
+    (lambda: divclass.test_curve("B", 2), ValueError,
+     "test curves need genus >= 3"),
+    (lambda: divclass.koszul_even_slope(-1), ValueError,
+     "i must be nonnegative"),
+    (lambda: divclass.general_type_witness(divclass.canonical_coarse(3)),
+     ValueError, "general_type_witness needs genus >= 4"),
+    (lambda: divclass.kappa1(4) + 1, TypeError,
+     "unsupported operand type(s) for +: 'DivisorClass' and 'int'"),
+    (lambda: divclass.kappa1(4) - 1, TypeError,
+     "unsupported operand type(s) for -: 'DivisorClass' and 'int'"),
+    (lambda: psi.string_reduce(psi.Correlator(1, (0,))), ValueError,
+     "string_reduce needs at least one other insertion"),
+    (lambda: psi.pand_numerator(1), ValueError, "the bound needs genus >= 2"),
+    (lambda: psi.pand_denominator(1), ValueError,
+     "the bound needs genus >= 2"),
+    (lambda: bn.limit_series_compatible(
+        bn.TreeCurve((1, 1), ((0, 1),)), [bn.LinearSeriesData(1, 1, 4)]),
+     ValueError, "one aspect per component required"),
+    (lambda: bn.limit_series_compatible(
+        bn.TreeCurve((1, 1), ((0, 1),)), [bn.LinearSeriesData(1, 1, 4)] * 2),
+     ValueError, "aspect 0 has no vanishing data"),
+    (lambda: bn.FormalBundle(2, 3, 1).sym_power(-1), ValueError,
+     "symmetric power must be nonnegative"),
+    (lambda: bn.canonical_syzygy_bundle(1), ValueError, "needs genus >= 2"),
+    (lambda: bn.balanced_rank_check(-1), ValueError, "i must be nonnegative"),
+    (lambda: koszul.green_lazarsfeld_Np(koszul.veronese_module(2, 2), -1),
+     ValueError, "p must be nonnegative"),
+    (lambda: koszul.betti_table(koszul.veronese_module(2, 2), -1, 0),
+     ValueError, "table bounds must be nonnegative"),
+    (lambda: koszul.veronese_module(0, 2), ValueError,
+     "need d >= 1 and top >= 1"),
+    (lambda: koszul.veronese_module(2, 0), ValueError,
+     "need d >= 1 and top >= 1"),
+    (lambda: koszul.polynomial_ring_module(0, 2), ValueError,
+     "need n >= 1 and top >= 1"),
+    (lambda: koszul.polynomial_ring_module(2, 0), ValueError,
+     "need n >= 1 and top >= 1"),
+    (lambda: koszul.monomial_quotient_module(0, 2, []), ValueError,
+     "need n >= 1 and top >= 1"),
+    (lambda: koszul.monomial_quotient_module(2, 0, []), ValueError,
+     "need n >= 1 and top >= 1"),
 ])
 def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:

@@ -60,6 +60,9 @@ class TestNormalForm:
             with pytest.raises(TypeError, match="unsupported operand"):
                 scalar - element
 
+    def test_an_element_equals_no_text(self):
+        assert (THETA == "x") is False
+
     def test_eta_squared_vanishes(self):
         assert ETA * ETA == ZERO
         assert ETA * GAMMA == ZERO
@@ -81,6 +84,37 @@ class TestNormalForm:
         assert element_from_string("3/2*theta*c1^2") == Fraction(3, 2) * THETA * C1**2
         assert element_from_string("theta^2*gamma - gamma*theta^2") == ZERO
         assert element_from_string("-eta + eta") == ZERO
+
+    @pytest.mark.parametrize("text, normal_form", [
+        ("2theta", "2*theta"), ("theta eta", "eta*theta"), ("2 - - 3", "5"),
+        ("*theta", "theta"), ("-*theta", "-theta"),
+        ("theta**eta", "eta*theta"), ("٣*theta", "3*theta"),
+        ("theta^00", "1"), ("gamma^3", "0"), ("theta+*eta", "theta + eta"),
+    ])
+    def test_parser_normal_forms(self, text, normal_form):
+        # juxtaposed factors multiply, a '*' may open a term, signs
+        # accumulate at a term's start only, and "\d" reads any script's digits
+        assert str(element_from_string(text)) == normal_form
+
+    @pytest.mark.parametrize("text, message", [
+        ("theta*-eta", "unknown symbol '-'"),
+        ("*-theta", "unknown symbol '-'"),
+        ("theta^2^3", "dangling '^'"), ("theta^", "dangling '^'"),
+        ("^2", "dangling '^'"), ("theta*+^", "dangling '^'"),
+        ("theta^x", "invalid literal for int() with base 10: 'x'"),
+        ("2^3/4", "invalid literal for int() with base 10: '3/4'"),
+        ("theta^-1", "invalid literal for int() with base 10: '-'"),
+        # the exponent is read before its base is looked up
+        ("x^1001", "exponent 1001 exceeds the limit 1000"),
+        ("1/٠", "zero denominator in '1/٠'"),
+        ("theta+", "trailing operator"), ("+", "trailing operator"),
+        ("theta*", "trailing operator"),
+        ("theta + $", "cannot tokenize ' $'"), (" ", "empty expression"),
+    ])
+    def test_parser_refusals(self, text, message):
+        with pytest.raises(ValueError) as info:
+            element_from_string(text)
+        assert str(info.value) == message
 
     def test_parser_rejects_unknown_symbols(self):
         with pytest.raises(ValueError):

@@ -154,7 +154,16 @@ def _pair(args):
 
 
 def _exponents(args) -> tuple[int, ...]:
-    return tuple(int(x) for x in args.a.split(","))
+    exps = []
+    for x in args.a.split(","):
+        try:
+            exps.append(int(x))
+        except ValueError as exc:
+            if not str(exc).startswith("invalid literal"):
+                raise  # an integer past Python's digit limit says so
+            raise ValueError(
+                f"exponent {x!r} in --a is not an integer") from None
+    return tuple(exps)
 
 
 # The check builds vanishing sequences of length g.

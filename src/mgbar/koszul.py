@@ -456,11 +456,12 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
     the first such coordinate, removes it, unnormalised, and lowers the
     counts of its others.  The passes stop when one peels nothing, or
     after ``_PEEL_PASSES``, so a chain peeled one vector per pass stays
-    O(nnz).  Only the vectors left, the core, enter ``where``, each
-    coordinate's core vector ids.  One heap holds the coordinates by count
-    (lowest index on ties); a stale popped count is pushed again as it is
-    now, and a count that falls to 1 as ``(1, c)``.  The pivot vector is
-    the sparsest that meets the coordinate; fill lands only where a core
+    O(nnz).  An empty core, no vector left, returns here.  The core alone
+    builds ``where``, each coordinate's core vector ids, and the heap of
+    coordinates by count (lowest index on ties); ``counts`` is not read
+    again.  A stale popped count is pushed again as it is now, and a
+    count that falls to 1 as ``(1, c)``.  The pivot vector is the
+    sparsest that meets the coordinate; fill lands only where a core
     vector meets already, so each live coordinate keeps a heap place.
     Exact vectors are cross-multiplied by the cofactors of ``gcd(pivot,
     entry)``, then made primitive (the only gcd division); over F_p a
@@ -484,11 +485,16 @@ def _rank_rows(vectors: list[dict], p: int | None = None) -> list[int]:
                     break
         if len(pivots) == peeled:
             break
-    where = {c: set() for c, n in counts.items() if n}
+    if not work:
+        return pivots
+    where: dict[int, set] = {}
     for k, vec in work.items():
         for c in vec:
-            where[c].add(k)
-    heap = [(n, c) for c, n in counts.items() if n]
+            if (ks := where.get(c)) is None:
+                where[c] = {k}
+            else:
+                ks.add(k)
+    heap = [(len(ks), c) for c, ks in where.items()]
     heapq.heapify(heap)
     updates = 0
     while heap:
@@ -609,17 +615,19 @@ def _strands(module: GradedModule, cells, modulus: int | None):
     pivots are reused, so walking ``i + j = const`` with ``i`` falling
     builds each differential once, as the columns it ranks from each
     piece's one integer view (:func:`_integral`), and keeps only rank and
-    pivots.  All sizes are checked up front.  ``d_{i,j}`` is built without
+    pivots.  All shapes are checked up front, each differential's once,
+    and reused for its kernel dimension.  ``d_{i,j}`` is built without
     the columns at the pivots of ``d_{i+1,j-1}``, valid as ``d_{i,j} o
     d_{i+1,j-1} = 0``, which for ``i >= 1`` holds iff piece ``j - 1``
     commutes (module docstring): that piece is checked once per walk,
     before the first such cell ranks its outgoing map, unless the
     constructor proved the module's sparse view.
     """
+    shapes = {}  # each differential's (rows, columns), checked once
     for i, j in cells:
-        _check_cell(module, i, j)
-        if j >= 1 and i < module.base_dim:
-            _check_cell(module, i + 1, j - 1)
+        shapes[i, j] = _check_cell(module, i, j)
+        if j >= 1 and i < module.base_dim and (i + 1, j - 1) not in shapes:
+            shapes[i + 1, j - 1] = _check_cell(module, i + 1, j - 1)
 
     def ranked(i: int, j: int, skip=()) -> tuple:
         """``((i, j), dim ker, rank, pivots)`` of ``d_{i,j}``, ranked on
@@ -632,7 +640,7 @@ def _strands(module: GradedModule, cells, modulus: int | None):
         columns = _columns(module, i, j, set(skip), layers).values()
         pivots = _rank_rows(_reduced(columns, q), modulus)
         rank = len(pivots)
-        return (i, j), _check_cell(module, i, j)[1] - rank, rank, pivots
+        return (i, j), shapes[i, j][1] - rank, rank, pivots
 
     commuting: set[int] = set()
     views, previous = {}, None  # each piece's integer view, built once

@@ -349,7 +349,10 @@ def element_from_string(text: str) -> RingElement:
             raise ValueError("dangling '^'")
         power = 1
         if tokens[idx:idx + 1] == ["^"]:
-            power = int(tokens[idx + 1])
+            if not (exponent := tokens[idx + 1]).isdecimal():
+                raise ValueError(f"exponent {exponent!r} after '^' is not a "
+                                 "nonnegative integer")
+            power = int(exponent)
             if power > MAX_EXPONENT:
                 raise ValueError(f"exponent {power} exceeds the limit {MAX_EXPONENT}")
             idx += 2
@@ -359,6 +362,8 @@ def element_from_string(text: str) -> RingElement:
             if (digits := digits + len(tok) * power) > 10 * MAX_EXPONENT:
                 raise ValueError(f"literal powers exceed {10 * MAX_EXPONENT} digits")
             term = term * _scalar_element(_rational(tok) ** power)
+        elif tok in "+-":  # state == "due"
+            raise ValueError(f"sign {tok!r} cannot follow '*'")
         else:
             raise ValueError(f"unknown symbol {tok!r}")
         state = "read"

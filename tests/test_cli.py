@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -244,6 +245,22 @@ class TestExitCodes:
             capsys, "taut", "reduce", "--expr", "(1+gamma)^2"
         )
         assert message.startswith("error: cannot tokenize")
+
+    @pytest.mark.parametrize("exps", ["2,x", "2,3/4", "2,", "x"])
+    def test_exponent_refusal_names_the_flag(self, capsys, exps):
+        message = run_err(capsys, "psi", "eval", "--g", "2", "--a", exps)
+        bad = exps.split(",")[-1]
+        assert message == f"error: exponent {bad!r} in --a is not an integer"
+
+    def test_exponents_read_as_int_does(self, capsys):
+        # spaces, signs, underscores and any script's digits; past Python's
+        # digit limit int() keeps its own refusal
+        assert run_ok(capsys, "psi", "eval", "--g", "0",
+                      "--a", "٠, +0_0,0 ") == "1"
+        if hasattr(sys, "get_int_max_str_digits"):
+            message = run_err(capsys, "psi", "eval", "--g", "2", "--a",
+                              "1" * (sys.get_int_max_str_digits() + 1))
+            assert message.startswith("error: Exceeds the limit")
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

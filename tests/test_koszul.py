@@ -9,6 +9,8 @@ dense row-by-column sum.
 """
 
 import copy
+import hashlib
+import heapq
 import inspect
 import itertools
 import json
@@ -17,6 +19,7 @@ import pickle
 import random
 import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -860,6 +863,58 @@ class TestElimination:
         monkeypatch.setattr(K, "MAX_ELIMINATION_WORK", 0)
         assert sorted(K._rank_rows(vectors, modulus)) == list(range(n))
 
+    def test_the_walks_take_pinned_pivots(self, monkeypatch):
+        # Which pivots are taken, not only how many: the digest of every
+        # pivot list of twelve Betti walks (three modules, as built and in
+        # seeded generic coordinates, exact and mod p), so that the
+        # elimination's bookkeeping can change but not its choices.
+        class Filled(dict):
+            """A vector that counts the coordinates it gains: fill."""
+            def __setitem__(self, key, value):
+                seen["fill"] += key not in self
+                super().__setitem__(key, value)
+
+        seen = {"fill": 0, "core": 0, "stale": 0}
+        pivot_lists, rank = [], K._rank_rows
+        last_pop = [None]
+
+        def pop(heap):
+            item = heapq.heappop(heap)
+            last_pop[0] = item[1]
+            return item
+
+        def push(heap, item):
+            # Pushed again right after its own pop: a stale count.
+            seen["stale"] += item[1] == last_pop[0]
+            last_pop[0] = None
+            heapq.heappush(heap, item)
+
+        def heapify(heap):
+            seen["core"] += bool(heap)
+            heapq.heapify(heap)
+
+        def recording(vectors, p=None):
+            pivot_lists.append(rank([Filled(vec) for vec in vectors], p))
+            return pivot_lists[-1]
+
+        monkeypatch.setattr(K, "heapq", types.SimpleNamespace(
+            heappop=pop, heappush=push, heapify=heapify))
+        monkeypatch.setattr(K, "_rank_rows", recording)
+        quotient = K.monomial_quotient_module(
+            4, 4, [(1, 1, 0, 0), (0, 0, 2, 0), (0, 1, 0, 2)])
+        walks = [(K.veronese_module(4, 4), 4, 3),
+                 (K.polynomial_ring_module(4, 3), 4, 2), (quotient, 4, 3)]
+        for seed, (module, max_i, max_j) in enumerate(walks, 1):
+            generic = generic_coordinates(module, random.Random(seed))
+            for walked in (module, generic):
+                for modulus in (None, K.DEFAULT_PRIME):
+                    K.betti_table(walked, max_i, max_j, modulus)
+        digest = hashlib.sha256(repr(pivot_lists).encode()).hexdigest()
+        assert digest[:16] == "e0f939654b40493d"
+        # Peels that leave no core, cores, fill and stale heap counts.
+        assert len(pivot_lists) == 232
+        assert seen == {"fill": 450, "core": 20, "stale": 52}
+
 
 class TestCohomology:
     def test_baseline_corner(self):
@@ -1068,8 +1123,8 @@ class TestBettiTable:
                 K.koszul_cohomology(module, 1, 1, modulus)
 
     def test_each_differential_built_and_ranked_once(self, monkeypatch):
-        built, ranked = [], []
-        build, rank = K._columns, K._rank_rows
+        built, ranked, shaped = [], [], []
+        build, rank, shape = K._columns, K._rank_rows, K._check_cell
 
         def counting_build(module, i, j, skip, layers):
             built.append((i, j))
@@ -1079,12 +1134,19 @@ class TestBettiTable:
             ranked.append(id(vectors))
             return rank(vectors, p)
 
+        def counting_shape(module, i, j):
+            shaped.append((i, j))
+            return shape(module, i, j)
+
         monkeypatch.setattr(K, "_columns", counting_build)
         monkeypatch.setattr(K, "_rank_rows", counting_rank)
+        monkeypatch.setattr(K, "_check_cell", counting_shape)
         table = K.betti_table(K.veronese_module(4, 4), 4, 3)
         assert table[1][1:4] == [6, 8, 3]
         assert len(built) == len(set(built))
         assert len(ranked) == len(built)
+        # each shape is checked once, up front, and reused when ranking
+        assert sorted(shaped) == sorted(built)
         # the 20 cells, plus d_{5,j} for j < 3: the incoming maps of the
         # cells i = 4, j > 0, which lie outside the table
         assert len(built) == 20 + 3

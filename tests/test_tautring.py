@@ -90,6 +90,7 @@ class TestNormalForm:
         ("*theta", "theta"), ("-*theta", "-theta"),
         ("theta**eta", "eta*theta"), ("٣*theta", "3*theta"),
         ("theta^00", "1"), ("gamma^3", "0"), ("theta+*eta", "theta + eta"),
+        ("theta^٢", "theta^2"),
     ])
     def test_parser_normal_forms(self, text, normal_form):
         # juxtaposed factors multiply, a '*' may open a term, signs
@@ -97,13 +98,16 @@ class TestNormalForm:
         assert str(element_from_string(text)) == normal_form
 
     @pytest.mark.parametrize("text, message", [
-        ("theta*-eta", "unknown symbol '-'"),
-        ("*-theta", "unknown symbol '-'"),
+        ("theta*-eta", "sign '-' cannot follow '*'"),
+        ("*-theta", "sign '-' cannot follow '*'"),
+        ("theta*+", "sign '+' cannot follow '*'"),
+        # the exponent is read before the sign is refused
+        ("theta*-^1001", "exponent 1001 exceeds the limit 1000"),
         ("theta^2^3", "dangling '^'"), ("theta^", "dangling '^'"),
         ("^2", "dangling '^'"), ("theta*+^", "dangling '^'"),
-        ("theta^x", "invalid literal for int() with base 10: 'x'"),
-        ("2^3/4", "invalid literal for int() with base 10: '3/4'"),
-        ("theta^-1", "invalid literal for int() with base 10: '-'"),
+        ("theta^x", "exponent 'x' after '^' is not a nonnegative integer"),
+        ("2^3/4", "exponent '3/4' after '^' is not a nonnegative integer"),
+        ("theta^-1", "exponent '-' after '^' is not a nonnegative integer"),
         # the exponent is read before its base is looked up
         ("x^1001", "exponent 1001 exceeds the limit 1000"),
         ("1/٠", "zero denominator in '1/٠'"),

@@ -16,12 +16,15 @@ The package is organized around five calculators:
 - :mod:`mgbar.koszul` — Koszul cohomology of graded modules by
   exact linear algebra.
 
-:mod:`mgbar.psi` and :mod:`mgbar.koszul` load with the package;
-:mod:`mgbar.divclass`, :mod:`mgbar.tautring` and :mod:`mgbar.bn` load
-on first use, when one of their names (or the module itself) is first
-read from the package.  A command-line front end lives in
-:mod:`mgbar.cli` (entry point ``mgbar``); it loads only the layers its
-command uses.
+Each public name has one home, its layer: it is read as
+``mgbar.<layer>.<name>`` (or ``from mgbar import <layer>``), never from
+the package itself, whose own names are the five layers,
+:class:`ResourceLimitError` and ``__version__``.  This module alone
+decides which layers load eagerly: :mod:`mgbar.psi` and
+:mod:`mgbar.koszul` load with the package, the other three on first
+use.  A command-line front end lives in :mod:`mgbar.cli` (entry point
+``mgbar``); it reaches every layer as ``mgbar.<layer>``, so it loads
+only the layers its command uses.
 """
 
 import importlib
@@ -112,48 +115,11 @@ from . import koszul, psi
 
 __version__ = "0.1.0"
 
-# The public names of each layer, read from the layer on first access.
-_EXPORTS = {
-    "divclass": (
-        "INFINITE", "DivisorClass", "CurveNumbers", "SlopeUndeterminedError",
-        "canonical_coarse", "canonical_stack", "d22_class",
-        "gieseker_petri_slope", "general_type_witness", "k3_obstruction",
-        "kappa1", "koszul_even_slope", "koszul_odd_class", "lambda_chern_n",
-        "pair", "slope", "slope_conjecture_bound", "test_curve",
-    ),
-    "tautring": (
-        "RingElement", "PushforwardTable", "element_from_string",
-        "integrate_over_C", "integrate_over_W", "load_table", "solve_d22",
-    ),
-    "psi": (
-        "Correlator", "ResourceLimitError", "correlator_value", "pand_bound",
-        "psi_one_point",
-    ),
-    "bn": (
-        "INFEASIBLE", "FormalBundle", "LinearSeriesData", "TreeCurve",
-        "hilbert_dim", "liaison_solve", "limit_series_compatible",
-        "quadric_count", "rho", "severi_analyze",
-    ),
-    "koszul": (
-        "GradedModule", "KoszulStrand", "green_lazarsfeld_Np",
-        "koszul_cohomology", "koszul_matrix", "matrix_rank",
-    ),
-}
-_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_LAYER_OF]
+__all__ = ["__version__", "ResourceLimitError",
+           "divclass", "tautring", "psi", "bn", "koszul"]
 
 
 def __getattr__(name: str):
-    layer = name if name in _EXPORTS else _LAYER_OF.get(name)
-    if layer is None:
+    if name not in ("divclass", "tautring", "bn"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{layer}", __name__)
-    if layer == name:
-        return module
-    globals()[name] = value = getattr(module, name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return importlib.import_module(f".{name}", __name__)

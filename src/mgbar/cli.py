@@ -13,17 +13,17 @@ Each subcommand is one row of :data:`COMMANDS`, from which the parser,
 the dispatch and the JSON record are generated; a layer's named result
 encodes through its ``_text``, a record through its ``to_json_dict``.
 
-A process is short, so it loads only what its command runs.  Importing
-this module loads ``mgbar.psi`` and ``mgbar.koszul`` with the package
-(deferring them would move their load into the first library call) and
-reaches the other layers as ``mgbar.<layer>`` when a command first uses
-them.  ``json`` loads only for ``--json`` output and Koszul module
+A process is short, so it loads only what its command runs.  This
+module imports no layer itself: it reaches every layer as
+``mgbar.<layer>``, so the package alone decides which layers load with
+it (``psi`` and ``koszul``), and the others load when a command first
+uses them.  ``json`` loads only for ``--json`` output and Koszul module
 input, no process loads ``hashlib`` or OpenSSL (the pushforward-table
 checksum uses CPython's builtin SHA-256), and no module uses
 ``dataclasses``.  There is one parser tree, whose group and
 subcommand parsers are built when argparse first uses them, so any argv
-builds at most four parsers; each words an invalid choice the same way
-on every supported Python.
+builds at most four parsers; each words an invalid choice and wraps
+its usage lines the same way on every supported Python (3.10-3.13).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import mgbar
 
-from . import __version__, _rational, koszul, psi
+from . import __version__, _rational
 
 __all__ = ["COMMANDS", "Command", "CommandResult", "run", "main"]
 
@@ -209,9 +209,9 @@ def _table_verify(args) -> dict:
     return {"ok": True, "checksum": table.checksum()}
 
 
-def _load_module(path: str) -> koszul.GradedModule:
+def _load_module(path: str) -> mgbar.koszul.GradedModule:
     with open(path, "r", encoding="utf-8") as handle:
-        return koszul.module_from_json(handle.read())
+        return mgbar.koszul.module_from_json(handle.read())
 
 
 def _betti_text(table, args) -> str:
@@ -299,13 +299,15 @@ COMMANDS = (
             _table_provenance("degeneracy-pipeline")),
     Command("psi eval",
             (*_ints("g"), _text("a", help="comma-separated exponents, e.g. 2,3")),
-            lambda a: psi.correlator_value(psi.Correlator(a.g, _exponents(a))),
+            lambda a: mgbar.psi.correlator_value(
+                mgbar.psi.Correlator(a.g, _exponents(a))),
             ["dvv-recursion"],
             derived=lambda a: {"a": list(_exponents(a))}),
     Command("psi one-point", _ints("g"),
-            lambda a: psi.psi_one_point(a.g), ["closed-form"]),
+            lambda a: mgbar.psi.psi_one_point(a.g), ["closed-form"]),
     Command("psi pand-bound", _ints("g"),
-            lambda a: psi.pand_bound(a.g), ["dvv-recursion", "closed-form"]),
+            lambda a: mgbar.psi.pand_bound(a.g),
+            ["dvv-recursion", "closed-form"]),
     Command("bn rho", tuple((x, {"type": int}) for x in ("g", "r", "d")),
             lambda a: mgbar.bn.rho(a.g, a.r, a.d), ["count-formula"]),
     Command("bn liaison", _ints("g", "d", "r"),
@@ -334,13 +336,14 @@ COMMANDS = (
     Command("koszul betti",
             (_text("input"), *_ints("max-i", "max-j"),
              ("--modulus", {"type": int})),
-            lambda a: koszul.betti_table(_load_module(a.input), a.max_i,
-                                         a.max_j, a.modulus),
+            lambda a: mgbar.koszul.betti_table(_load_module(a.input), a.max_i,
+                                               a.max_j, a.modulus),
             lambda a: ["exact-linear-algebra"] + (
                 [] if a.modulus is None else [f"prime-field@{a.modulus}"]),
             human=_betti_text),
     Command("koszul np", (_text("input"), *_ints("p")),
-            lambda a: koszul.green_lazarsfeld_Np(_load_module(a.input), a.p),
+            lambda a: mgbar.koszul.green_lazarsfeld_Np(
+                _load_module(a.input), a.p),
             ["exact-linear-algebra"]),
 )
 
@@ -385,9 +388,62 @@ class _Tolerance(_Store):
         setattr(namespace, self.dest, values)
 
 
+# A unit of a wrapped usage line, as Python 3.10-3.12 cut the usage text:
+# a bracketed group, or else one word, so a required option and its value
+# are two units.  Compiled on first use: most processes wrap no usage.
+_USAGE_UNIT = r"\(.*?\)+(?=\s|$)|\[.*?\]+(?=\s|$)|\S+"
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Wraps a long usage line as Python 3.10-3.12 do, which may break it
+    between a required option and its value (``--class`` /
+    ``{canonical,...}``); 3.13 keeps each option whole."""
+
+    def _format_usage(self, usage, actions, groups, prefix):
+        text = super()._format_usage(usage, actions, groups, prefix)
+        if usage is not None or "\n" not in text.rstrip("\n"):
+            return text
+        prefix = "usage: " if prefix is None else prefix
+        prog, width = self._prog, self._width - self._current_indent
+        opt, pos = (re.findall(_USAGE_UNIT, self._format_actions_usage(
+            [a for a in actions if bool(a.option_strings) is is_opt], groups))
+            for is_opt in (True, False))
+        # A short prog leads the first line, a long one stands alone.
+        short = len(prefix) + len(prog) <= 0.75 * width
+        indent = " " * (len(prefix) + (len(prog) + 1 if short else 0))
+
+        def wrap(parts, start):
+            """``parts`` filled greedily into lines of ``width``; the first
+            line's text starts at column ``start``, the others at the
+            indent."""
+            lines, column = [], start
+            for part in parts:
+                if lines and column + len(lines[-1]) + 1 + len(part) <= width:
+                    lines[-1] += " " + part
+                else:
+                    column = len(indent) if lines else start
+                    lines.append(part)
+            return lines
+
+        if short:
+            # Positionals start a line of their own after any optionals.
+            head, tail = (opt, pos) if opt else (pos, [])
+            lines = wrap([prog, *head], len(prefix)) + wrap(tail, len(indent))
+        else:
+            lines = wrap(opt + pos, len(indent))
+            if len(lines) > 1:
+                lines = wrap(opt, len(indent)) + wrap(pos, len(indent))
+            lines = [prog, *lines]
+        return prefix + ("\n" + indent).join(lines) + "\n\n"
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose invalid-choice message quotes the value and
-    the choices on every Python, as 3.10-3.12 do (3.13 quotes neither)."""
+    """An argparse parser that words an invalid choice and wraps its usage
+    the same on every Python, as 3.10-3.12 do: 3.13 quotes neither the
+    value nor the choices, and wraps usage by whole options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

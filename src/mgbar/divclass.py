@@ -244,8 +244,9 @@ class CurveNumbers(_Record):
 
 
 def rational_to_str(q: Rational) -> str:
-    """Lowest-terms string form, ``"p"`` or ``"p/q"`` with ``q > 0``."""
-    return str(Fraction(q))
+    """Lowest-terms string form, ``"p"`` or ``"p/q"`` with ``q > 0``, of an
+    exact rational; anything else (a float, a bool) raises ``TypeError``."""
+    return str(_fraction(q))
 
 
 # ---------------------------------------------------------------------

@@ -64,6 +64,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import _Record, _fraction, _integers, _rational
@@ -171,6 +172,9 @@ class RingElement:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A scalar equals its rational, so it hashes as that rational.
+        if self._terms.keys() <= {_SCALAR_KEY}:
+            return hash(self._terms.get(_SCALAR_KEY, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- arithmetic ---------------------------------------------------
@@ -266,8 +270,11 @@ def _key_degree(key: Key) -> int:
     return sum(e * d for e, d in zip(key, _GEN_DEGREES))
 
 
+_SCALAR_KEY = (0, 0, 0, 0, 0, 0)
+
+
 def _scalar_element(q: Rational) -> RingElement:
-    return RingElement({(0, 0, 0, 0, 0, 0): Fraction(q)})
+    return RingElement({_SCALAR_KEY: Fraction(q)})
 
 
 def _coerce(x: "RingElement | Rational") -> RingElement:
@@ -402,6 +409,11 @@ class PushforwardTable(NamedTuple):
 
     entries: Mapping[tuple[int, int, int], Fraction]
 
+    def __reduce__(self):
+        # The shared table's read-only entries do not pickle, so a pickle
+        # or a copy holds them as a plain dict.
+        return PushforwardTable, (dict(self.entries),)
+
     def entry(self, e1: int, e2: int, e3: int) -> Fraction:
         try:
             return self.entries[(e1, e2, e3)]
@@ -477,8 +489,9 @@ def _w217_entries() -> dict[tuple[int, int, int], Fraction]:
 
 @lru_cache(maxsize=1)
 def load_table() -> PushforwardTable:
-    """The pushforward table for ``W^2_17`` of a general genus-21 curve."""
-    return PushforwardTable(_w217_entries())
+    """The pushforward table for ``W^2_17`` of a general genus-21 curve.
+    Every caller shares it, so its entries are a read-only mapping."""
+    return PushforwardTable(MappingProxyType(_w217_entries()))
 
 
 @lru_cache(maxsize=None)

@@ -291,3 +291,38 @@ class TestExitCodes:
                            match="expected one argument"):
             store(argparse.ArgumentParser(), namespace, values)
         assert not hasattr(namespace, "flag")
+
+
+class TestUsageWrapping:
+    """Long usage lines wrap as Python 3.10-3.12 wrap them, on 3.13 too:
+    a line may break between a required option and its value, and a
+    long prog takes a line of its own.  The expected text is that of
+    3.12's own formatter at 31 columns."""
+
+    @staticmethod
+    def usage(monkeypatch, capsys, *argv):
+        monkeypatch.setenv("COLUMNS", "31")
+        with pytest.raises(SystemExit):
+            cli.main(list(argv))
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        end = next(n for n, line in enumerate(lines) if n and line[:1] != " ")
+        return "\n".join(lines[:end])
+
+    def test_a_long_prog_takes_a_line_of_its_own(self, monkeypatch, capsys):
+        assert self.usage(monkeypatch, capsys, "divclass", "pair") == (
+            "usage: mgbar divclass pair\n"
+            "       [-h] [--json]\n"
+            "       [--tolerance TOLERANCE]\n"
+            "       --class\n"
+            "       {canonical,canonical-stack,kappa1,koszul-odd,d22,custom}\n"
+            "       [--g G] [--i I]\n"
+            "       [--coeffs COEFFS]\n"
+            "       --curve {C0,C1,R,B}")
+
+    def test_positionals_follow_a_short_prog(self, monkeypatch, capsys):
+        assert self.usage(monkeypatch, capsys, "divclass", "--help") == (
+            "usage: mgbar divclass [-h]\n"
+            "                      {canonical,slope,k3-check,pair,"
+            "koszul-odd,koszul-even,gp-slope,d22}\n"
+            "                      ...")

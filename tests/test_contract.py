@@ -10,6 +10,7 @@ keeps that decision in one place, ``mgbar._integers``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -117,7 +118,34 @@ NO_INTEGER_PARAMETERS = {
                     "integers it checked",
     "LiaisonResult": "a result tuple that liaison_solve builds from "
                      "integers it checked",
+    "ZERO": "a ring constant",
+    "ONE": "a ring constant",
+    "ETA": "a ring constant",
+    "GAMMA": "a ring constant",
+    "THETA": "a ring constant",
+    "C1": "a ring constant",
+    "C2": "a ring constant",
+    "C3": "a ring constant",
+    "MAX_EXPONENT": "a budget",
+    "MAX_MATRIX_SIDE": "a budget",
+    "MAX_ELIMINATION_WORK": "a budget",
+    "MAX_COMMUTATIVITY_WORK": "a budget",
+    "DEFAULT_PRIME": "a constant",
+    "KernelDegreeError": "an exception",
+    "KernelPoly": "takes ring elements",
+    "chern_of_sym2": "takes a ChernData",
+    "degeneracy_total": "takes a side name",
+    "string_reduce": "takes a Correlator",
+    "cache_info": "takes nothing",
+    "cache_clear": "takes nothing",
+    "rational_to_str": "takes an exact rational",
+    "rational_from_str": "takes text",
+    "module_to_json": "takes a GradedModule",
+    "module_from_json": "takes module JSON, whose non-integer sizes are "
+                        "malformed data (ValueError)",
 }
+
+LAYERS = ("divclass", "tautring", "psi", "bn", "koszul")
 
 BAD = [(2.0, "float"), (True, "bool"), ("2", "str")]
 
@@ -146,9 +174,13 @@ def test_an_integer_parameter_refuses_anything_else(
 
 
 def test_every_public_name_is_swept_or_exempt():
-    names = {*mgbar._LAYER_OF, *bn.__all__}
+    names = {name for layer in LAYERS
+             for name in importlib.import_module(f"mgbar.{layer}").__all__}
     assert not CASES.keys() & NO_INTEGER_PARAMETERS.keys()
     assert names <= CASES.keys() | NO_INTEGER_PARAMETERS.keys()
+    # Nor is a name swept or exempt that no layer makes public.
+    swept = {name.split(".")[0] for name in CASES}
+    assert swept | NO_INTEGER_PARAMETERS.keys() <= names
 
 
 # The functions allowed to ask isinstance(x, bool): the two number

@@ -329,3 +329,9 @@ class TestWitnesses:
 def test_rational_string_round_trip():
     for q in (Fraction(3, 7), Fraction(-13, 2), Fraction(5), Fraction(0)):
         assert dc.rational_from_str(dc.rational_to_str(q)) == q
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/2"])
+def test_rational_to_str_refuses_an_inexact_value(value):
+    with pytest.raises(TypeError, match="^expected an exact rational"):
+        dc.rational_to_str(value)

@@ -3,13 +3,17 @@ the layers.
 
 ``mgbar`` loads ``psi`` and ``koszul`` with the package and the other
 layers on first use, so a short ``mgbar`` process pays only for the
-layers its command runs.  The standard library follows the same rule:
-no ``dataclasses`` (and with it ``inspect``) at all, ``json`` only for
-``--json`` output and Koszul module input, no ``hashlib`` (and with it
-OpenSSL) at all, not even for the pushforward-table checksum, and
-argparse parsers only for the command run, and no module outside the
-standard library anywhere in the package.  Module sets are read in fresh
-interpreters, since the test process has long since loaded every layer.
+layers its command runs.  The package's own names are its five layers,
+``ResourceLimitError`` and ``__version__``: every other public name is
+read from its layer, and the CLI imports no layer itself, so only
+``mgbar/__init__.py`` says which layers load eagerly.  The standard
+library follows the same rule: no ``dataclasses`` (and with it
+``inspect``) at all, ``json`` only for ``--json`` output and Koszul
+module input, no ``hashlib`` (and with it OpenSSL) at all, not even for
+the pushforward-table checksum, and argparse parsers only for the
+command run, and no module outside the standard library anywhere in the
+package.  Module sets are read in fresh interpreters, since the test
+process has long since loaded every layer.
 """
 
 import argparse
@@ -219,14 +223,12 @@ def test_the_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in allowed, (path.name, name)
 
 
-def test_every_exported_name_is_its_layers_own_object():
-    layers = [importlib.import_module(f"mgbar.{name}") for name in LAYERS]
-    for name in mgbar.__all__:
-        if name == "__version__":
-            continue
-        owners = [layer for layer in layers if name in layer.__all__]
-        assert len(owners) == 1, name
-        assert getattr(mgbar, name) is getattr(owners[0], name), name
+def test_the_package_names_only_its_layers():
+    assert set(mgbar.__all__) == {*LAYERS, "ResourceLimitError", "__version__"}
+    for layer in LAYERS:
+        module = importlib.import_module(f"mgbar.{layer}")
+        if "ResourceLimitError" in module.__all__:
+            assert module.ResourceLimitError is mgbar.ResourceLimitError
 
 
 def test_layers_resolve_as_package_attributes():
@@ -234,16 +236,42 @@ def test_layers_resolve_as_package_attributes():
         assert getattr(mgbar, name) is importlib.import_module(f"mgbar.{name}")
 
 
-def test_dir_lists_the_exports():
+def test_a_layers_name_is_not_a_package_attribute():
     names = dir(mgbar)
-    assert "__all__" in names
-    assert set(mgbar.__all__) <= set(names)
+    for layer in LAYERS:
+        for name in importlib.import_module(f"mgbar.{layer}").__all__:
+            if name == "ResourceLimitError":
+                continue
+            assert name not in names, name
+            with pytest.raises(AttributeError):
+                getattr(mgbar, name)
+    with pytest.raises(AttributeError, match="has no attribute 'slope'"):
+        mgbar.slope
 
 
-def test_star_import_binds_every_name():
+def test_star_import_binds_the_layers():
     namespace = {}
     exec("from mgbar import *", namespace)
-    assert set(mgbar.__all__) <= set(namespace)
+    assert namespace.keys() - {"__builtins__"} == set(mgbar.__all__)
+    for name in LAYERS:
+        assert namespace[name] is importlib.import_module(f"mgbar.{name}")
+
+
+def test_the_cli_imports_no_layer_module():
+    # It reaches each layer as mgbar.<layer>, so that the package alone
+    # decides which layers load eagerly.
+    path = Path(cli.__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # cli.py sits in the package, so a relative import is mgbar's.
+            base = ".".join(filter(None, [
+                "mgbar" if node.level else "", node.module]))
+            imported |= {base, *(f"{base}.{a.name}" for a in node.names)}
+    assert "mgbar" in imported
+    assert not imported & {f"mgbar.{layer}" for layer in LAYERS}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,8 +1,10 @@
 """Coefficient-ring normal form, pushforwards, and the degeneracy totals."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import sys
 import time
@@ -62,6 +64,20 @@ class TestNormalForm:
 
     def test_an_element_equals_no_text(self):
         assert (THETA == "x") is False
+
+    @pytest.mark.parametrize("scalar", [0, 5, -3, Fraction(1, 2)])
+    def test_a_scalar_element_hashes_as_the_rational_it_equals(self, scalar):
+        for element in (RingElement({(0,) * 6: scalar}), scalar * ONE):
+            assert element == scalar
+            assert hash(element) == hash(scalar)
+            assert len({element, scalar}) == 1
+            assert {scalar: "value"}[element] == "value"
+            assert {element: "value"}[scalar] == "value"
+
+    def test_zero_hashes_as_zero(self):
+        assert len({ZERO, 0}) == 1
+        assert len({RingElement(), ZERO, Fraction(0)}) == 1
+        assert {0: "zero"}[ZERO] == "zero"
 
     def test_eta_squared_vanishes(self):
         assert ETA * ETA == ZERO
@@ -309,6 +325,22 @@ class TestPushforwardTable:
         assert t.entry(1, 0, 2) == -t.entry(1, 1, 1)
         assert t.entry(0, 2, 1) == -t.entry(1, 1, 1)
         assert t.entry(0, 2, 0) == -t.entry(1, 1, 0)
+
+    def test_the_shared_table_is_read_only(self):
+        table = tr.load_table()
+        with pytest.raises(TypeError):
+            table.entries[(0, 0, 0)] = Fraction(1)
+        with pytest.raises(TypeError):
+            del table.entries[(0, 0, 0)]
+        assert tr.load_table() is table
+        assert tr.integrate_over_W(THETA**3) == 698377680
+        assert table.checksum()[:12] == "624416250b2d"
+        # A table built by hand over a dict still works as before.
+        hand = tr.PushforwardTable(dict(table.entries))
+        hand.verify()
+        assert hand == table and hand.checksum() == table.checksum()
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied == table and copied.checksum() == table.checksum()
 
     def test_unknown_exponent_triple(self):
         with pytest.raises(KeyError):
